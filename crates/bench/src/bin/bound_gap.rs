@@ -59,8 +59,8 @@ fn bench_size(size: usize, m: usize, out: &mut String) {
     let seed = 7u64;
 
     let portfolio_start = Instant::now();
-    let (best, _) = mube
-        .solve_portfolio(&spec, &portfolio(), seed)
+    let best = mube
+        .solve(&spec, &portfolio(), seed)
         .expect("paper spec is feasible");
     let portfolio_ms = portfolio_start.elapsed().as_secs_f64() * 1e3;
     eprintln!(
@@ -146,7 +146,9 @@ fn certificate(out: &mut String) {
     let mube = engine(&generated);
     let spec = paper_spec(4);
     let start = Instant::now();
-    let exact = mube.solve_exact(&spec, 11).expect("spec is feasible");
+    let exact = mube
+        .solve(&spec, &BranchAndBound::default(), 11)
+        .expect("spec is feasible");
     let exact_ms = start.elapsed().as_secs_f64() * 1e3;
     let sweep = mube
         .solve(&spec, &Exhaustive::default(), 11)

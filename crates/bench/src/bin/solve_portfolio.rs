@@ -14,10 +14,12 @@
 //!   fresh objective* (cold caches): what racing the same solvers without
 //!   the shared evaluation pool costs. This is the honest baseline for the
 //!   portfolio arm even on a single-core host.
-//! * `portfolio` — the same members raced through [`Mube::solve_portfolio`]
-//!   against one shared objective: members amortize each other's `Match(S)`
-//!   work through the sharded memo cache, and later rounds warm-start from
-//!   the shared incumbent.
+//! * `portfolio` — the same members raced as one [`Portfolio`] solver
+//!   through [`Mube::solve`] against one shared objective: members amortize
+//!   each other's `Match(S)` work through the sharded memo cache, and later
+//!   rounds warm-start from the shared incumbent. The per-member rows come
+//!   from an untimed [`Portfolio::run`] over [`Mube::objective`], which
+//!   replays the timed race exactly.
 //!
 //! `speedup_portfolio` is multistart-vs-portfolio wall clock (shared-cache
 //! savings are real on any core count); `speedup_batched` is
@@ -151,10 +153,16 @@ fn bench_size(size: usize, reps: u32, out: &mut String) {
         cross_seed: true,
     };
     let portfolio_start = Instant::now();
-    let (best, member_stats) = mube
-        .solve_portfolio(&spec, &portfolio, seed)
+    let best = mube
+        .solve(&spec, &portfolio, seed)
         .expect("paper spec is feasible");
     let portfolio_ms = portfolio_start.elapsed().as_secs_f64() * 1e3;
+    let member_stats = portfolio
+        .run(
+            &mube.objective(&spec).expect("paper spec is feasible"),
+            seed,
+        )
+        .members;
 
     let speedup_batched = serial_ms / batched_ms.max(1e-9);
     let speedup_portfolio = multistart_ms / portfolio_ms.max(1e-9);

@@ -41,18 +41,17 @@
 //! An arena is bound to one engine: reusing it across different
 //! [`Mube`](crate::Mube) instances (different universes, similarity
 //! measures, or sketch sets) aliases unrelated evaluations. [`Session`]
-//! owns its arena and guarantees this; `Mube::solve_in` callers must
+//! owns its arena and guarantees this; `Mube::objective_in` callers must
 //! uphold it themselves (a universe-size change is detected and clears the
 //! arena, but equal-sized distinct universes are not).
 //!
 //! [`Session`]: crate::Session
 
 use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Mutex, PoisonError, RwLock};
 
 use mube_opt::Subset;
-use mube_schema::MediatedSchema;
 
 use crate::problem::ProblemSpec;
 
@@ -145,9 +144,8 @@ fn layout_changed(prev: &ProblemSpec, next: &ProblemSpec) -> bool {
 /// The match-dependent half of a cached evaluation.
 #[derive(Debug, Clone, PartialEq)]
 pub(crate) enum MatchPart {
-    /// Clustering produced a schema: its `F1` quality plus a structural
-    /// key of the mediated schema (for change detection without storing
-    /// the schema itself).
+    /// Clustering produced a schema: its `F1` quality plus the sources it
+    /// spans.
     ///
     /// Whether the schema satisfies the *current* source constraints is
     /// deliberately not recorded: the spans check is re-applied at read
@@ -157,8 +155,6 @@ pub(crate) enum MatchPart {
     Feasible {
         /// The matching-quality QEF value `F1(S)`.
         quality: f64,
-        /// [`schema_key`] of the produced mediated schema.
-        schema_key: u64,
         /// Sorted indices of the sources the schema spans (contributes at
         /// least one attribute to a GA). The read-time feasibility check is
         /// `required ⊆ spanned`.
@@ -244,7 +240,7 @@ pub struct EvalArena {
     /// Total entry budget across all shards; a shard that fills its slice
     /// of the budget is cleared wholesale (coarse, but eviction is a
     /// safety valve here, not a working-set policy).
-    capacity: AtomicUsize,
+    capacity: usize,
     /// Entries invalidated (stripped or removed) by the most recent
     /// `prepare`, for [`SolveStats::invalidated`](crate::SolveStats).
     last_invalidated: AtomicU64,
@@ -262,13 +258,13 @@ impl Default for EvalArena {
 }
 
 impl EvalArena {
-    /// An empty arena with the default capacity.
+    /// An empty arena, bounded at roughly a million entries.
     pub fn new() -> Self {
         Self {
             shards: std::array::from_fn(|_| RwLock::new(ArenaShard::default())),
             epoch: AtomicU64::new(0),
             weights_version: AtomicU64::new(0),
-            capacity: AtomicUsize::new(DEFAULT_CAPACITY),
+            capacity: DEFAULT_CAPACITY,
             last_invalidated: AtomicU64::new(0),
             last_delta: Mutex::new(None),
             snapshot: Mutex::new(None),
@@ -295,10 +291,15 @@ impl EvalArena {
         self.last_invalidated.load(Ordering::Relaxed)
     }
 
-    /// Bounds the arena to roughly `capacity` entries across all shards
-    /// (minimum one entry per shard).
-    pub fn set_capacity(&self, capacity: usize) {
-        self.capacity.store(capacity, Ordering::Relaxed);
+    /// An empty arena bounded to roughly `capacity` entries across all
+    /// shards (minimum one entry per shard), so tests can exercise
+    /// eviction at small sizes.
+    #[cfg(test)]
+    pub(crate) fn with_capacity(capacity: usize) -> Self {
+        Self {
+            capacity,
+            ..Self::new()
+        }
     }
 
     /// Drops every memoized evaluation (stamps and the spec snapshot are
@@ -436,11 +437,7 @@ impl EvalArena {
                 return 0;
             }
         }
-        let per_shard = self
-            .capacity
-            .load(Ordering::Relaxed)
-            .div_ceil(SHARDS)
-            .max(1);
+        let per_shard = self.capacity.div_ceil(SHARDS).max(1);
         let mut dropped = 0u64;
         if guard.entries >= per_shard {
             dropped = guard.entries as u64;
@@ -474,30 +471,6 @@ impl EvalArena {
     }
 }
 
-/// A structural 64-bit key of a mediated schema: a SplitMix64-style mix of
-/// every GA's attribute ids in the schema's canonical order. Equal schemas
-/// always produce equal keys; the converse holds up to hash collision,
-/// which is acceptable for the change-detection uses this key serves (it
-/// never substitutes for schema equality in a correctness path).
-pub(crate) fn schema_key(schema: &MediatedSchema) -> u64 {
-    let mut h = 0x9e37_79b9_7f4a_7c15_u64;
-    for ga in schema.gas() {
-        // GA boundary marker, so [a|b][c] and [a][b|c] hash differently.
-        h = mix(h ^ 0xd1b5_4a32_d192_ed03);
-        for attr in ga.attrs() {
-            h = mix(h ^ (u64::from(attr.source.0) << 32 | u64::from(attr.index)));
-        }
-    }
-    h
-}
-
-/// SplitMix64 finalizer.
-fn mix(mut z: u64) -> u64 {
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^ (z >> 31)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -512,7 +485,6 @@ mod tests {
         ComponentEval {
             match_part: Some(MatchPart::Feasible {
                 quality: q,
-                schema_key: 1,
                 spanned: vec![1, 4],
             }),
             components: vec![0.0, 0.5],
@@ -683,15 +655,14 @@ mod tests {
 
     #[test]
     fn insert_is_idempotent_and_capacity_evicts() {
-        let arena = EvalArena::new();
+        // Capacity of SHARDS means one entry per shard: the next insert
+        // into the same shard clears it first.
+        let arena = EvalArena::with_capacity(SHARDS);
         arena.prepare(&spec(), 64);
         let s = Subset::from_indices(64, [1]);
         assert_eq!(arena.insert(s.fingerprint(), &s, entry_eval(0.1)), 0);
         assert_eq!(arena.insert(s.fingerprint(), &s, entry_eval(0.1)), 0);
         assert_eq!(arena.len(), 1);
-        // Capacity of SHARDS means one entry per shard: the next insert
-        // into the same shard clears it first.
-        arena.set_capacity(SHARDS);
         let mut dropped_total = 0u64;
         for i in 2..40 {
             let t = Subset::from_indices(64, [i]);
@@ -713,7 +684,6 @@ mod tests {
             &s,
             MatchPart::Feasible {
                 quality: 0.4,
-                schema_key: 9,
                 spanned: vec![1, 4],
             },
         );
@@ -724,7 +694,6 @@ mod tests {
             part,
             Some(MatchPart::Feasible {
                 quality: 0.4,
-                schema_key: 9,
                 spanned: vec![1, 4],
             })
         );
@@ -734,7 +703,6 @@ mod tests {
             &s,
             MatchPart::Feasible {
                 quality: 0.5,
-                schema_key: 10,
                 spanned: vec![4],
             },
         );
@@ -745,26 +713,8 @@ mod tests {
             part,
             Some(MatchPart::Feasible {
                 quality: 0.4,
-                schema_key: 9,
                 spanned: vec![1, 4],
             })
         );
-    }
-
-    #[test]
-    fn schema_keys_distinguish_grouping() {
-        let a1 = AttrId::new(SourceId(0), 0);
-        let a2 = AttrId::new(SourceId(1), 0);
-        let a3 = AttrId::new(SourceId(2), 0);
-        let joint = MediatedSchema::new([
-            GlobalAttribute::new([a1, a2]).unwrap(),
-            GlobalAttribute::new([a3]).unwrap(),
-        ]);
-        let split = MediatedSchema::new([
-            GlobalAttribute::new([a1]).unwrap(),
-            GlobalAttribute::new([a2, a3]).unwrap(),
-        ]);
-        assert_ne!(schema_key(&joint), schema_key(&split));
-        assert_eq!(schema_key(&joint), schema_key(&joint.clone()));
     }
 }

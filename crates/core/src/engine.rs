@@ -5,9 +5,7 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use mube_audit::{AuditReport, SolutionAuditor, SolutionFacts};
-use mube_opt::{
-    CancelToken, Portfolio, PortfolioMember, SolveResult, Solver, SubsetProblem, TabuSearch,
-};
+use mube_opt::{CancelToken, SolveResult, Solver, SubsetProblem};
 use mube_pcsa::PcsaSketch;
 use mube_qef::{CardinalityQef, CharacteristicQef, CoverageQef, Qef, QefContext, RedundancyQef};
 use mube_schema::{SourceId, Universe};
@@ -16,7 +14,7 @@ use mube_similarity::{NgramJaccard, SimilarityMeasure};
 use crate::arena::EvalArena;
 use crate::error::MubeError;
 use crate::matrix_sim::MatrixSimilarity;
-use crate::objective::{ArenaRef, MubeObjective, QefBinding};
+use crate::objective::{MubeObjective, QefBinding};
 use crate::problem::{ProblemSpec, SimBackend};
 use crate::snapshot::UniverseSnapshot;
 use crate::solution::{Solution, SolveStats};
@@ -112,7 +110,7 @@ impl MubeBuilder {
         let default_measure = NgramJaccard::default();
         let measure: &dyn SimilarityMeasure = measure.as_deref().unwrap_or(&default_measure);
         let sim = MatrixSimilarity::with_backend(&universe, measure, &sim_backend)
-            .unwrap_or_else(|_| MatrixSimilarity::new(&universe, measure));
+            .unwrap_or_else(|_| MatrixSimilarity::dense(&universe, measure));
         Self::assemble(universe, sketches, extra_qefs, sim)
     }
 
@@ -224,14 +222,16 @@ impl Mube {
     /// fresh private arena that dies with the objective. Exposed for
     /// benches and tests that want to drive solvers directly.
     pub fn objective(&self, spec: &ProblemSpec) -> Result<MubeObjective, MubeError> {
-        self.objective_with(spec, ArenaRef::Owned(Box::default()))
+        self.objective_in(spec, &Arc::new(EvalArena::new()))
     }
 
     /// Builds the optimizer-facing objective for a spec on a caller-owned
-    /// [`EvalArena`], first pointing the arena at the spec (classifying the
-    /// delta against the previous spec and invalidating accordingly — see
-    /// [`EvalArena::prepare`]). Entries memoized during the solve persist
-    /// in the arena for the next call.
+    /// [`EvalArena`]. The spec is validated and its weight names resolved
+    /// first; only a spec that passes both points the arena at itself
+    /// (classifying the delta against the previous spec and invalidating
+    /// accordingly — see [`EvalArena::prepare`]), so a rejected spec leaves
+    /// the arena untouched. Entries memoized during the solve persist in
+    /// the arena for the next call.
     ///
     /// The arena must only ever be used with *this* engine: entries are
     /// keyed by subset alone, so feeding them to a different universe,
@@ -244,29 +244,16 @@ impl Mube {
         arena: &Arc<EvalArena>,
     ) -> Result<MubeObjective, MubeError> {
         self.validate_spec(spec)?;
-        arena.prepare(spec, self.universe().len());
-        self.objective_with(spec, ArenaRef::Shared(Arc::clone(arena)))
-    }
-
-    fn objective_with(
-        &self,
-        spec: &ProblemSpec,
-        arena: ArenaRef,
-    ) -> Result<MubeObjective, MubeError> {
-        self.validate_spec(spec)?;
         let bindings = self.resolve_bindings(spec)?;
-        let objective = MubeObjective::new(
+        arena.prepare(spec, self.universe().len());
+        Ok(MubeObjective::new(
             Arc::clone(&self.snapshot),
             bindings,
             spec.constraints.clone(),
             spec.match_config.clone(),
             spec.max_sources.min(self.universe().len().max(1)),
-            arena,
-        );
-        if let Some(capacity) = spec.cache_capacity {
-            objective.set_cache_capacity(capacity);
-        }
-        Ok(objective)
+            Arc::clone(arena),
+        ))
     }
 
     /// Turns a solver result into a [`Solution`]: reconstructs the winning
@@ -355,151 +342,53 @@ impl Mube {
         Instant::now()
     }
 
-    /// One solve: objective construction (optionally on a shared arena),
-    /// optional cancellation arming, the search, and result assembly.
-    fn solve_with(
-        &self,
-        spec: &ProblemSpec,
-        solver: &dyn Solver,
-        seed: u64,
-        arena: Option<&Arc<EvalArena>>,
-        cancel: Option<&CancelToken>,
-    ) -> Result<Solution, MubeError> {
-        let started = Self::clock_now();
-        let mut objective = match arena {
-            Some(arena) => self.objective_in(spec, arena)?,
-            None => self.objective(spec)?,
-        };
-        if let Some(token) = cancel {
-            objective.arm_cancel(token);
-        }
-        let result = solver.solve(&objective, seed);
-        self.finish(spec, &objective, &result, started)
-    }
-
-    /// Solves one iteration's optimization problem with the given solver.
+    /// Solves one iteration's optimization problem with the given solver,
+    /// memoizing into a fresh arena that dies with the solve.
+    ///
+    /// This is the one solve entry point: a [`mube_opt::Portfolio`] or an
+    /// exact [`mube_opt::BranchAndBound`] is just another [`Solver`]. A
+    /// portfolio race shares one objective (and so one memo arena) across
+    /// its members; [`SolveStats::portfolio_member`] names the winner, and
+    /// per-member rows come from [`mube_opt::Portfolio::run`] over
+    /// [`Mube::objective`]. An unlimited branch-and-bound solve carries
+    /// `stats.gap == Some(0.0)`, a certificate that no subset under the
+    /// spec scores higher.
     pub fn solve(
         &self,
         spec: &ProblemSpec,
         solver: &dyn Solver,
         seed: u64,
     ) -> Result<Solution, MubeError> {
-        self.solve_with(spec, solver, seed, None, None)
+        self.solve_with(spec, solver, seed, &Arc::new(EvalArena::new()), None)
     }
 
-    /// Like [`Mube::solve`], but memoizes into a caller-owned
-    /// [`EvalArena`] that outlives the solve — the delta-aware session
-    /// path. Component vectors cached by earlier solves on the same arena
-    /// are reused according to the spec delta (see [`EvalArena`]): a
-    /// weights-only edit re-solves without a single `Match(S)` call.
+    /// The solve behind [`Mube::solve`] and [`crate::Session::iterate`]:
+    /// objective construction on `arena`, optional cancellation arming,
+    /// the search, and result assembly.
     ///
-    /// Arena values are bit-identical to cold evaluations, so for any
-    /// fixed seed this returns exactly the solution [`Mube::solve`] would.
-    pub fn solve_in(
+    /// Arena values are bit-identical to cold evaluations, so for a fixed
+    /// seed a session arena changes only how much is recomputed, never the
+    /// solution. An armed `cancel` token is polled at the solver's round /
+    /// node / batch boundaries: a cancellation stops the search with its
+    /// best incumbent (flagged via [`SolveStats::cancelled`] and audited
+    /// like any other solution), or [`MubeError::Cancelled`] when no
+    /// feasible candidate had been seen yet. A token that never fires
+    /// leaves the result bit-identical to an unarmed solve.
+    pub(crate) fn solve_with(
         &self,
         spec: &ProblemSpec,
         solver: &dyn Solver,
         seed: u64,
         arena: &Arc<EvalArena>,
-    ) -> Result<Solution, MubeError> {
-        self.solve_with(spec, solver, seed, Some(arena), None)
-    }
-
-    /// Like [`Mube::solve`], with a [`CancelToken`] armed for the duration
-    /// of the solve. The solver polls the token at its round / node / batch
-    /// boundaries: a cancellation makes it stop and return its best
-    /// incumbent (flagged via [`SolveStats::cancelled`] and audited like
-    /// any other solution), or [`MubeError::Cancelled`] when no feasible
-    /// candidate had been seen yet. A token that never fires leaves the
-    /// result bit-identical to [`Mube::solve`] — polling is
-    /// observation-only.
-    pub fn solve_cancellable(
-        &self,
-        spec: &ProblemSpec,
-        solver: &dyn Solver,
-        seed: u64,
-        cancel: &CancelToken,
-    ) -> Result<Solution, MubeError> {
-        self.solve_with(spec, solver, seed, None, Some(cancel))
-    }
-
-    /// [`Mube::solve_in`] with a [`CancelToken`] armed — the session path:
-    /// shared arena *and* cooperative cancellation.
-    pub fn solve_cancellable_in(
-        &self,
-        spec: &ProblemSpec,
-        solver: &dyn Solver,
-        seed: u64,
-        arena: &Arc<EvalArena>,
-        cancel: &CancelToken,
-    ) -> Result<Solution, MubeError> {
-        self.solve_with(spec, solver, seed, Some(arena), Some(cancel))
-    }
-
-    /// One portfolio race, with the same optional arena / cancellation
-    /// plumbing as [`Mube::solve_with`].
-    fn portfolio_with(
-        &self,
-        spec: &ProblemSpec,
-        portfolio: &Portfolio,
-        seed: u64,
-        arena: Option<&Arc<EvalArena>>,
         cancel: Option<&CancelToken>,
-    ) -> Result<(Solution, Vec<PortfolioMember>), MubeError> {
+    ) -> Result<Solution, MubeError> {
         let started = Self::clock_now();
-        let mut objective = match arena {
-            Some(arena) => self.objective_in(spec, arena)?,
-            None => self.objective(spec)?,
-        };
+        let mut objective = self.objective_in(spec, arena)?;
         if let Some(token) = cancel {
             objective.arm_cancel(token);
         }
-        let outcome = portfolio.run(&objective, seed);
-        let solution = self.finish(spec, &objective, &outcome.result, started)?;
-        Ok((solution, outcome.members))
-    }
-
-    /// Solves by racing a [`Portfolio`] of solvers against one shared
-    /// objective (and therefore one shared `Q(S)` memo cache: members
-    /// amortize each other's `Match(S)` work). Returns the winning solution
-    /// — [`SolveStats::portfolio_member`] names the member that produced it
-    /// and [`SolveStats::evaluations`] counts the whole race's effort —
-    /// plus per-member statistics in configuration order.
-    pub fn solve_portfolio(
-        &self,
-        spec: &ProblemSpec,
-        portfolio: &Portfolio,
-        seed: u64,
-    ) -> Result<(Solution, Vec<PortfolioMember>), MubeError> {
-        self.portfolio_with(spec, portfolio, seed, None, None)
-    }
-
-    /// Like [`Mube::solve_portfolio`], but memoizing into a caller-owned
-    /// [`EvalArena`]: the racing members share the session's persistent
-    /// component-vector store, so they amortize not only each other's
-    /// `Match(S)` work but every *previous iteration's* as well.
-    pub fn solve_portfolio_in(
-        &self,
-        spec: &ProblemSpec,
-        portfolio: &Portfolio,
-        seed: u64,
-        arena: &Arc<EvalArena>,
-    ) -> Result<(Solution, Vec<PortfolioMember>), MubeError> {
-        self.portfolio_with(spec, portfolio, seed, Some(arena), None)
-    }
-
-    /// [`Mube::solve_portfolio_in`] with a [`CancelToken`] armed: every
-    /// racing member polls the same token, so one cancellation stops the
-    /// whole race at the members' next checkpoints.
-    pub fn solve_portfolio_cancellable_in(
-        &self,
-        spec: &ProblemSpec,
-        portfolio: &Portfolio,
-        seed: u64,
-        arena: &Arc<EvalArena>,
-        cancel: &CancelToken,
-    ) -> Result<(Solution, Vec<PortfolioMember>), MubeError> {
-        self.portfolio_with(spec, portfolio, seed, Some(arena), Some(cancel))
+        let result = solver.solve(&objective, seed);
+        self.finish(spec, &objective, &result, started)
     }
 
     /// Statically verifies a solution against the paper's §2 invariants
@@ -528,28 +417,6 @@ impl Mube {
             })
     }
 
-    /// Convenience: solve with the paper's default solver (tabu search).
-    pub fn solve_default(&self, spec: &ProblemSpec, seed: u64) -> Result<Solution, MubeError> {
-        self.solve(spec, &TabuSearch::default(), seed)
-    }
-
-    /// Solves *exactly* with best-first branch-and-bound over admissible
-    /// QEF bounds (monotone, modular, and characteristic relaxations plus
-    /// an LP tightening at shallow nodes — see
-    /// [`mube_opt::BranchAndBound`]). The returned solution carries
-    /// `stats.gap == Some(0.0)`: a certificate that no subset under the
-    /// spec scores higher.
-    ///
-    /// Worst-case exponential in the universe size — intended for small
-    /// universes and for auditing heuristic solutions. For an *anytime*
-    /// exact solve (node budget, certified residual gap) or a warm start
-    /// from a heuristic incumbent, configure a
-    /// [`mube_opt::BranchAndBound`] directly and pass it to
-    /// [`Mube::solve`] or race it inside a [`Portfolio`].
-    pub fn solve_exact(&self, spec: &ProblemSpec, seed: u64) -> Result<Solution, MubeError> {
-        self.solve(spec, &mube_opt::BranchAndBound::default(), seed)
-    }
-
     /// Evaluates `Q(S)` for an explicit source set without searching —
     /// useful for what-if analysis in sessions.
     pub fn evaluate(&self, spec: &ProblemSpec, ids: &[SourceId]) -> Result<f64, MubeError> {
@@ -563,8 +430,14 @@ impl Mube {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use mube_opt::TabuSearch;
     use mube_qef::Weights;
     use mube_schema::SourceBuilder;
+
+    /// A fresh arena, as [`Mube::solve`] uses.
+    fn cold() -> Arc<EvalArena> {
+        Arc::new(EvalArena::new())
+    }
 
     fn tiny_universe() -> Universe {
         let mut u = Universe::new();
@@ -590,7 +463,7 @@ mod tests {
         let u = tiny_universe();
         let mube = MubeBuilder::new(&u).build();
         let spec = ProblemSpec::new(2).with_weights(Weights::new([("matching", 1.0)]).unwrap());
-        let solution = mube.solve_default(&spec, 1).unwrap();
+        let solution = mube.solve(&spec, &TabuSearch::default(), 1).unwrap();
         assert_eq!(solution.num_sources(), 2);
         // The best pair for pure matching excludes source c.
         assert!(!solution.selected.contains(&SourceId(2)));
@@ -603,7 +476,7 @@ mod tests {
         let u = tiny_universe();
         let mube = MubeBuilder::new(&u).build();
         let spec = ProblemSpec::new(2).with_weights(Weights::new([("cardinality", 1.0)]).unwrap());
-        let solution = mube.solve_default(&spec, 2).unwrap();
+        let solution = mube.solve(&spec, &TabuSearch::default(), 2).unwrap();
         // b (200) + c (300) dominate.
         assert!(solution.selected.contains(&SourceId(1)));
         assert!(solution.selected.contains(&SourceId(2)));
@@ -615,7 +488,7 @@ mod tests {
         let mube = MubeBuilder::new(&u).build();
         let spec = ProblemSpec::new(2).with_weights(Weights::new([("nonsense", 1.0)]).unwrap());
         assert!(matches!(
-            mube.solve_default(&spec, 0),
+            mube.solve(&spec, &TabuSearch::default(), 0),
             Err(MubeError::UnknownQef { .. })
         ));
     }
@@ -625,7 +498,7 @@ mod tests {
         let u = tiny_universe();
         let mube = MubeBuilder::new(&u).build();
         let spec = ProblemSpec::new(2).with_weights(Weights::new([("mttf", 1.0)]).unwrap());
-        let solution = mube.solve_default(&spec, 3).unwrap();
+        let solution = mube.solve(&spec, &TabuSearch::default(), 3).unwrap();
         assert!(solution.qef_value("mttf").is_some());
     }
 
@@ -636,7 +509,7 @@ mod tests {
         let spec = ProblemSpec::new(2)
             .with_weights(Weights::new([("matching", 1.0)]).unwrap())
             .with_source_constraint(SourceId(3));
-        let solution = mube.solve_default(&spec, 4).unwrap();
+        let solution = mube.solve(&spec, &TabuSearch::default(), 4).unwrap();
         assert!(solution.selected.contains(&SourceId(3)));
     }
 
@@ -651,7 +524,7 @@ mod tests {
             .with_weights(Weights::new([("matching", 1.0)]).unwrap())
             .with_source_constraint(SourceId(2));
         assert!(matches!(
-            mube.solve_default(&spec, 4),
+            mube.solve(&spec, &TabuSearch::default(), 4),
             Err(MubeError::NoFeasibleSolution)
         ));
     }
@@ -664,7 +537,7 @@ mod tests {
             .with_source_constraint(SourceId(0))
             .with_source_constraint(SourceId(1));
         assert!(matches!(
-            mube.solve_default(&spec, 0),
+            mube.solve(&spec, &TabuSearch::default(), 0),
             Err(MubeError::MaxSourcesTooSmall { .. })
         ));
     }
@@ -675,7 +548,7 @@ mod tests {
         let mube = MubeBuilder::new(&u).build();
         let spec = ProblemSpec::new(2).with_theta(1.5);
         assert!(matches!(
-            mube.solve_default(&spec, 0),
+            mube.solve(&spec, &TabuSearch::default(), 0),
             Err(MubeError::InvalidTheta { .. })
         ));
     }
@@ -695,8 +568,8 @@ mod tests {
         let u = tiny_universe();
         let mube = MubeBuilder::new(&u).build();
         let spec = ProblemSpec::new(2);
-        let a = mube.solve_default(&spec, 9).unwrap();
-        let b = mube.solve_default(&spec, 9).unwrap();
+        let a = mube.solve(&spec, &TabuSearch::default(), 9).unwrap();
+        let b = mube.solve(&spec, &TabuSearch::default(), 9).unwrap();
         assert_eq!(a.selected, b.selected);
         assert_eq!(a.schema, b.schema);
     }
@@ -708,8 +581,8 @@ mod tests {
         let clone = mube.clone();
         assert!(Arc::ptr_eq(mube.snapshot(), clone.snapshot()));
         let spec = ProblemSpec::new(2);
-        let a = mube.solve_default(&spec, 9).unwrap();
-        let b = clone.solve_default(&spec, 9).unwrap();
+        let a = mube.solve(&spec, &TabuSearch::default(), 9).unwrap();
+        let b = clone.solve(&spec, &TabuSearch::default(), 9).unwrap();
         assert_eq!(a.selected, b.selected);
         assert_eq!(a.overall_quality.to_bits(), b.overall_quality.to_bits());
     }
@@ -719,10 +592,10 @@ mod tests {
         let u = tiny_universe();
         let mube = MubeBuilder::new(&u).build();
         let spec = ProblemSpec::new(2);
-        let plain = mube.solve_default(&spec, 9).unwrap();
+        let plain = mube.solve(&spec, &TabuSearch::default(), 9).unwrap();
         let token = CancelToken::new();
         let armed = mube
-            .solve_cancellable(&spec, &TabuSearch::default(), 9, &token)
+            .solve_with(&spec, &TabuSearch::default(), 9, &cold(), Some(&token))
             .unwrap();
         assert!(!armed.stats.cancelled);
         assert_eq!(plain.selected, armed.selected);
@@ -744,10 +617,10 @@ mod tests {
         let token = CancelToken::new();
         token.cancel();
         let solution = mube
-            .solve_cancellable(&spec, &TabuSearch::default(), 9, &token)
+            .solve_with(&spec, &TabuSearch::default(), 9, &cold(), Some(&token))
             .unwrap();
         assert!(!solution.stats.cancelled);
-        let plain = mube.solve_default(&spec, 9).unwrap();
+        let plain = mube.solve(&spec, &TabuSearch::default(), 9).unwrap();
         assert_eq!(plain.selected, solution.selected);
     }
 
@@ -787,7 +660,7 @@ mod tests {
         let spec = ProblemSpec::new(2)
             .with_weights(Weights::new([("matching", 0.5), ("tripwire", 0.5)]).unwrap());
         let cancelled = mube
-            .solve_cancellable(&spec, &TabuSearch::default(), 9, &token)
+            .solve_with(&spec, &TabuSearch::default(), 9, &cold(), Some(&token))
             .unwrap();
         assert!(cancelled.stats.cancelled);
         assert!(cancelled.overall_quality.is_finite());
@@ -814,7 +687,7 @@ mod tests {
         let u = tiny_universe();
         let mube = MubeBuilder::new(&u).qef(Box::new(FavoriteSource)).build();
         let spec = ProblemSpec::new(1).with_weights(Weights::new([("favorite", 1.0)]).unwrap());
-        let solution = mube.solve_default(&spec, 0).unwrap();
+        let solution = mube.solve(&spec, &TabuSearch::default(), 0).unwrap();
         assert_eq!(solution.selected, vec![SourceId(0)]);
         assert_eq!(solution.qef_value("favorite"), Some(1.0));
     }
@@ -839,7 +712,7 @@ mod tests {
         let u = tiny_universe();
         let mube = MubeBuilder::new(&u).qef(Box::new(ConstantHalf)).build();
         let spec = ProblemSpec::new(1).with_weights(Weights::new([("mttf", 1.0)]).unwrap());
-        let solution = mube.solve_default(&spec, 0).unwrap();
+        let solution = mube.solve(&spec, &TabuSearch::default(), 0).unwrap();
         assert_eq!(solution.qef_value("mttf"), Some(0.5));
         assert!((solution.overall_quality - 0.5).abs() < 1e-12);
     }
@@ -854,7 +727,7 @@ mod tests {
         let spec = ProblemSpec::new(3)
             .with_weights(Weights::new([("matching", 1.0)]).unwrap())
             .with_beta(3);
-        let solution = mube.solve_default(&spec, 1).unwrap();
+        let solution = mube.solve(&spec, &TabuSearch::default(), 1).unwrap();
         for ga in solution.schema.gas() {
             assert!(ga.len() >= 3, "GA below beta: {ga}");
         }
@@ -865,7 +738,7 @@ mod tests {
         let u = tiny_universe();
         let mube = MubeBuilder::new(&u).build();
         let spec = ProblemSpec::new(100);
-        let solution = mube.solve_default(&spec, 0).unwrap();
+        let solution = mube.solve(&spec, &TabuSearch::default(), 0).unwrap();
         assert!(solution.num_sources() <= u.len());
     }
 
@@ -874,7 +747,7 @@ mod tests {
         let u = tiny_universe();
         let mube = MubeBuilder::new(&u).build();
         let spec = ProblemSpec::new(2);
-        let solution = mube.solve_default(&spec, 5).unwrap();
+        let solution = mube.solve(&spec, &TabuSearch::default(), 5).unwrap();
         // The default spec weights "matching", so Match(S) ran and its
         // kernel counters must have propagated into the solve stats.
         assert!(solution.stats.linkage_evals > 0);
@@ -885,11 +758,39 @@ mod tests {
         let u = tiny_universe();
         let mube = MubeBuilder::new(&u).build();
         let spec = ProblemSpec::new(2);
-        let solution = mube.solve_default(&spec, 5).unwrap();
+        let solution = mube.solve(&spec, &TabuSearch::default(), 5).unwrap();
         assert!(
             solution.stats.cache_hits > 0,
             "tabu revisits should hit cache"
         );
         assert!(solution.stats.match_calls <= solution.stats.evaluations);
+    }
+
+    /// A tightly capacity-bounded arena still returns correct values —
+    /// eviction only costs recomputation — and reports its evictions.
+    #[test]
+    fn bounded_cache_evicts_but_stays_correct() {
+        let generated = mube_datagen::UniverseConfig::small_test(24, 9).generate();
+        let mube = MubeBuilder::new(&generated.universe)
+            .sketches(generated.sketches.clone())
+            .build();
+        let spec = ProblemSpec::new(6);
+        let bounded = Arc::new(EvalArena::with_capacity(16));
+
+        let a = mube
+            .solve(&spec, &TabuSearch::quick(), 3)
+            .expect("solvable");
+        let b = mube
+            .solve_with(&spec, &TabuSearch::quick(), 3, &bounded, None)
+            .expect("solvable");
+        // Same search, same answer — the cache is transparent.
+        assert_eq!(a.selected, b.selected);
+        assert_eq!(a.overall_quality, b.overall_quality);
+        assert_eq!(a.stats.evaluations, b.stats.evaluations);
+        // The tiny budget must actually have evicted (tabu evaluates far more
+        // than 16 distinct subsets here) and paid with extra Match(S) calls.
+        assert_eq!(a.stats.evictions, 0);
+        assert!(b.stats.evictions > 0, "16-entry cap never evicted");
+        assert!(b.stats.match_calls >= a.stats.match_calls);
     }
 }

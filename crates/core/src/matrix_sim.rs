@@ -61,9 +61,10 @@ fn flatten_names(universe: &Universe) -> (Vec<String>, Vec<u32>) {
 }
 
 impl MatrixSimilarity {
-    /// Precomputes the dense matrix for `universe` under `measure` — the
-    /// historical constructor, unconditionally dense.
-    pub fn new(universe: &Universe, measure: &dyn SimilarityMeasure) -> Self {
+    /// Precomputes the dense matrix for `universe` under `measure`,
+    /// unconditionally — the infallible fallback of
+    /// [`crate::MubeBuilder::build`].
+    pub(crate) fn dense(universe: &Universe, measure: &dyn SimilarityMeasure) -> Self {
         let (names, offsets) = flatten_names(universe);
         Self {
             backend: Backend::Dense(SimilarityMatrix::compute(&names, measure)),
@@ -191,6 +192,10 @@ mod tests {
     use mube_schema::{SourceBuilder, SourceId};
     use mube_similarity::{NgramJaccard, NormalizedLevenshtein};
 
+    fn dense(u: &Universe, m: &dyn SimilarityMeasure) -> MatrixSimilarity {
+        MatrixSimilarity::with_backend(u, m, &SimBackend::Dense).unwrap()
+    }
+
     fn universe() -> Universe {
         let mut u = Universe::new();
         u.add_source(SourceBuilder::new("a").attributes(["Author", "Title", "ISBN"]))
@@ -206,7 +211,7 @@ mod tests {
     fn agrees_with_on_the_fly_adapter() {
         let u = universe();
         let m = NgramJaccard::default();
-        let matrix = MatrixSimilarity::new(&u, &m);
+        let matrix = dense(&u, &m);
         let adapter = MeasureAdapter::new(&u, &m);
         let attrs: Vec<AttrId> = u.all_attrs().collect();
         for &a in &attrs {
@@ -221,7 +226,7 @@ mod tests {
     #[test]
     fn identical_normalized_names_are_fully_similar() {
         let u = universe();
-        let matrix = MatrixSimilarity::new(&u, &NgramJaccard::default());
+        let matrix = dense(&u, &NgramJaccard::default());
         // "Title" (0,1) vs "title" (2,0).
         assert_eq!(
             matrix.similarity(AttrId::new(SourceId(0), 1), AttrId::new(SourceId(2), 0)),
@@ -232,7 +237,7 @@ mod tests {
     #[test]
     fn len_counts_attrs() {
         let u = universe();
-        let matrix = MatrixSimilarity::new(&u, &NgramJaccard::default());
+        let matrix = dense(&u, &NgramJaccard::default());
         assert_eq!(matrix.len(), 6);
         assert!(!matrix.is_empty());
         assert_eq!(matrix.backend_kind(), SimBackendKind::Dense);
@@ -243,7 +248,7 @@ mod tests {
     fn sparse_backend_is_bit_identical_to_dense() {
         let u = universe();
         let m = NgramJaccard::default();
-        let dense = MatrixSimilarity::new(&u, &m);
+        let dense = dense(&u, &m);
         let sparse =
             MatrixSimilarity::with_backend(&u, &m, &SimBackend::Sparse(SparseOptions::default()))
                 .unwrap();
@@ -306,7 +311,7 @@ mod tests {
     fn neighbor_lists_match_the_trait_contract() {
         let u = universe();
         let m = NgramJaccard::default();
-        let dense = MatrixSimilarity::new(&u, &m);
+        let dense = dense(&u, &m);
         let sparse =
             MatrixSimilarity::with_backend(&u, &m, &SimBackend::Sparse(SparseOptions::default()))
                 .unwrap();

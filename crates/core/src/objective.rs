@@ -8,7 +8,6 @@
 //! weights-only feedback edit recombines every surviving entry with zero
 //! `Match(S)` calls.
 
-use std::ops::Deref;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, PoisonError};
 
@@ -19,7 +18,7 @@ use mube_opt::{CancelToken, LpConstraint, LpProblem, Relation, Subset, SubsetPro
 use mube_qef::{CharacteristicQef, Qef};
 use mube_schema::{Constraints, MediatedSchema, SourceId, SourceSelection};
 
-use crate::arena::{schema_key, ComponentEval, EvalArena, MatchPart, SpecDelta};
+use crate::arena::{ComponentEval, EvalArena, MatchPart, SpecDelta};
 use crate::snapshot::UniverseSnapshot;
 
 /// A weight bound to the function it scales.
@@ -45,27 +44,6 @@ fn unpoison<G>(r: Result<G, PoisonError<G>>) -> G {
 /// time under whatever source constraints are then current.
 fn spanned_of(schema: &MediatedSchema) -> Vec<u32> {
     schema.covered_sources().into_iter().map(|s| s.0).collect()
-}
-
-/// The evaluation arena an objective memoizes into: its own private arena
-/// (one-shot solves) or a borrowed session arena that outlives the solve.
-pub(crate) enum ArenaRef {
-    /// A fresh arena owned by this objective — dropped with it.
-    Owned(Box<EvalArena>),
-    /// A session-owned arena shared across iterations (and across a
-    /// portfolio's member solvers within one iteration).
-    Shared(Arc<EvalArena>),
-}
-
-impl Deref for ArenaRef {
-    type Target = EvalArena;
-
-    fn deref(&self) -> &EvalArena {
-        match self {
-            ArenaRef::Owned(arena) => arena,
-            ArenaRef::Shared(arena) => arena,
-        }
-    }
 }
 
 /// Additive slack on every upper bound the objective reports, covering
@@ -141,7 +119,10 @@ pub struct MubeObjective {
     /// Whether any binding is [`QefBinding::Matching`] — decides whether a
     /// cached entry's match part participates in combination at all.
     has_matching: bool,
-    arena: ArenaRef,
+    /// The memo arena: a fresh one for one-shot solves, or a session's
+    /// arena that outlives the solve (and is shared by a portfolio's
+    /// member solvers within it).
+    arena: Arc<EvalArena>,
     caching: AtomicBool,
     /// Armed cancellation: the token plus the epoch captured when it was
     /// armed. [`SubsetProblem::cancelled`] reports whether the token fired
@@ -168,7 +149,7 @@ impl MubeObjective {
         constraints: Constraints,
         match_config: MatchConfig,
         max_sources: usize,
-        arena: ArenaRef,
+        arena: Arc<EvalArena>,
     ) -> Self {
         let mut pinned: Vec<usize> = constraints
             .required_sources()
@@ -215,14 +196,6 @@ impl MubeObjective {
         if !enabled {
             self.arena.clear();
         }
-    }
-
-    /// Bounds the memo arena to roughly `capacity` entries across all
-    /// shards (minimum one entry per shard). A shard that exceeds its slice
-    /// of the budget is cleared wholesale and the dropped entries are added
-    /// to [`MubeObjective::evictions`].
-    pub fn set_cache_capacity(&self, capacity: usize) {
-        self.arena.set_capacity(capacity);
     }
 
     /// Runs `Match(S)` for a set of source ids (uncached; used by the
@@ -376,7 +349,7 @@ impl MubeObjective {
     /// replicates. The matching step runs spans-deferred: a schema that
     /// fails to span a constrained source makes the *evaluation* infeasible
     /// (`-∞`, exactly as the checked `Match(S)` would), but the outcome —
-    /// schema key, quality, spanned set — and the remaining components are
+    /// quality and spanned set — and the remaining components are
     /// still computed and cached, because none of them depend on which
     /// sources are constrained. Only a subset missing a required source
     /// outright aborts with no reusable components.
@@ -400,7 +373,6 @@ impl MubeObjective {
                             spans_ok = self.spans_satisfied(&spanned);
                             match_part = Some(MatchPart::Feasible {
                                 quality: outcome.quality,
-                                schema_key: schema_key(&outcome.schema),
                                 spanned,
                             });
                             outcome.quality
@@ -678,9 +650,7 @@ impl SubsetProblem for MubeObjective {
                 Probe::Full(self.combine(0.0, &entry.eval.components))
             } else {
                 match &entry.eval.match_part {
-                    Some(MatchPart::Feasible {
-                        quality, spanned, ..
-                    }) => {
+                    Some(MatchPart::Feasible { quality, spanned }) => {
                         if self.spans_satisfied(spanned) {
                             Probe::Full(self.combine(*quality, &entry.eval.components))
                         } else {
@@ -720,11 +690,7 @@ impl SubsetProblem for MubeObjective {
                         self.arena.restore_match_part(
                             key,
                             subset,
-                            MatchPart::Feasible {
-                                quality,
-                                schema_key: schema_key(&outcome.schema),
-                                spanned,
-                            },
+                            MatchPart::Feasible { quality, spanned },
                         );
                         if feasible {
                             self.combine(quality, &components)

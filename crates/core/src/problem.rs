@@ -93,11 +93,6 @@ pub struct ProblemSpec {
     pub max_sources: usize,
     /// Matching parameters: θ, β, linkage, pruning.
     pub match_config: MatchConfig,
-    /// Bound on the objective's `Q(S)` memo cache, in entries across all
-    /// shards (`None` keeps the default, roughly a million). Long-running
-    /// sessions on large universes set this to cap memory; eviction is
-    /// counted in [`crate::SolveStats::evictions`].
-    pub cache_capacity: Option<usize>,
 }
 
 impl ProblemSpec {
@@ -109,15 +104,7 @@ impl ProblemSpec {
             constraints: Constraints::none(),
             max_sources,
             match_config: MatchConfig::default(),
-            cache_capacity: None,
         }
-    }
-
-    /// Bounds the objective memo cache to roughly `capacity` entries
-    /// (builder style).
-    pub fn with_cache_capacity(mut self, capacity: usize) -> Self {
-        self.cache_capacity = Some(capacity);
-        self
     }
 
     /// Sets the weights (builder style).

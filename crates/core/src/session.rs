@@ -211,18 +211,20 @@ impl Session {
         };
         let warm_used = warm_solver.is_some();
         let solver: &dyn Solver = warm_solver.as_deref().unwrap_or(self.solver.as_ref());
-        let mut solution = if self.arena_enabled {
-            self.mube.solve_cancellable_in(
-                &self.spec,
-                solver,
-                iteration_seed,
-                &self.arena,
-                &self.cancel,
-            )?
+        let cold;
+        let arena = if self.arena_enabled {
+            &self.arena
         } else {
-            self.mube
-                .solve_cancellable(&self.spec, solver, iteration_seed, &self.cancel)?
+            cold = Arc::new(EvalArena::new());
+            &cold
         };
+        let mut solution = self.mube.solve_with(
+            &self.spec,
+            solver,
+            iteration_seed,
+            arena,
+            Some(&self.cancel),
+        )?;
         solution.stats.warm_start = warm_used;
         if solution.stats.cancelled {
             return Ok(self.last_cancelled.insert(solution));
@@ -542,5 +544,29 @@ mod tests {
                 .collect::<Vec<_>>()
         };
         assert_eq!(run(true), run(false));
+    }
+
+    #[test]
+    fn rejected_spec_leaves_the_arena_untouched() {
+        // A spec naming an unknown QEF is rejected before the arena is
+        // pointed at it: the cached entries survive, and restoring the
+        // weights re-solves as an unchanged spec with nothing invalidated.
+        let u = universe();
+        let mube = MubeBuilder::new(&u).build();
+        let mut session = Session::new(&mube, ProblemSpec::new(3).with_theta(0.5));
+        session.iterate().unwrap();
+        let cached = session.arena().len();
+        assert!(cached > 0, "the first iteration memoizes evaluations");
+        let weights = session.spec().weights.clone();
+        session.set_weights(Weights::new([("matching", 0.5), ("mtff", 0.5)]).unwrap());
+        assert!(matches!(
+            session.iterate(),
+            Err(MubeError::UnknownQef { .. })
+        ));
+        assert_eq!(session.arena().len(), cached);
+        session.set_weights(weights);
+        let restored = session.iterate().unwrap();
+        assert_eq!(restored.stats.spec_delta, Some(SpecDelta::Unchanged));
+        assert_eq!(restored.stats.invalidated, 0);
     }
 }

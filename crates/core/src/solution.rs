@@ -38,8 +38,8 @@ pub struct SolveStats {
     /// Incremental-kernel Lance–Williams row derivations inside `Match(S)`
     /// calls (zero when the brute-force kernel is selected).
     pub lw_updates: u64,
-    /// Memoized `Q(S)` entries dropped by cache-capacity eviction (zero
-    /// unless a capacity was set and reached).
+    /// Memoized `Q(S)` entries dropped by capacity eviction: zero unless
+    /// the arena reached its fixed budget of roughly a million entries.
     pub evictions: u64,
     /// Evaluations served by arena entries that survived from an *earlier*
     /// session iteration (zero for one-shot solves on a fresh arena).

@@ -1,7 +1,8 @@
 //! Exact branch-and-bound against the full µBE objective: the QEF bounds
 //! (`component_bound` / `lp_relaxation`) must be admissible on generated
-//! universes, and `Mube::solve_exact` must certify the same optimum the
-//! exhaustive enumerator finds — bit-identically.
+//! universes, and `Mube::solve` with a default `BranchAndBound` must
+//! certify the same optimum the exhaustive enumerator finds —
+//! bit-identically.
 
 use proptest::prelude::*;
 
@@ -56,10 +57,11 @@ proptest! {
         }
     }
 
-    /// `solve_exact` certifies the optimum the exhaustive enumerator finds,
-    /// bit-for-bit, with a zero gap — on universes small enough to sweep.
+    /// Exact branch-and-bound certifies the optimum the exhaustive
+    /// enumerator finds, bit-for-bit, with a zero gap — on universes small
+    /// enough to sweep.
     #[test]
-    fn solve_exact_certifies_the_exhaustive_optimum(
+    fn branch_and_bound_certifies_the_exhaustive_optimum(
         size in 4usize..9,
         universe_seed in 0u64..500,
         m in 2usize..5,
@@ -69,7 +71,7 @@ proptest! {
             .sketches(generated.sketches.clone())
             .build();
         let spec = ProblemSpec::new(m).with_weights(Weights::paper_defaults());
-        let exact = mube.solve_exact(&spec, 7).unwrap();
+        let exact = mube.solve(&spec, &BranchAndBound::default(), 7).unwrap();
         let sweep = mube.solve(&spec, &Exhaustive::default(), 7).unwrap();
         prop_assert_eq!(
             exact.overall_quality.to_bits(),
@@ -89,7 +91,7 @@ proptest! {
 /// Pins (required sources) survive the exact solve, and the LP-tightened
 /// root bound still admits the optimum.
 #[test]
-fn solve_exact_respects_source_constraints() {
+fn branch_and_bound_respects_source_constraints() {
     let generated = mube_datagen::UniverseConfig::small_test(8, 42).generate();
     let mube = MubeBuilder::new(&generated.universe)
         .sketches(generated.sketches.clone())
@@ -97,7 +99,7 @@ fn solve_exact_respects_source_constraints() {
     let spec = ProblemSpec::new(4)
         .with_weights(Weights::paper_defaults())
         .with_source_constraint(SourceId(3));
-    let exact = mube.solve_exact(&spec, 1).unwrap();
+    let exact = mube.solve(&spec, &BranchAndBound::default(), 1).unwrap();
     assert!(exact.selected.contains(&SourceId(3)));
     assert_eq!(exact.stats.gap, Some(0.0));
     let sweep = mube.solve(&spec, &Exhaustive::default(), 1).unwrap();
@@ -117,7 +119,10 @@ fn node_budgets_shrink_the_certified_gap() {
         .sketches(generated.sketches.clone())
         .build();
     let spec = ProblemSpec::new(5).with_weights(Weights::paper_defaults());
-    let optimum = mube.solve_exact(&spec, 3).unwrap().overall_quality;
+    let optimum = mube
+        .solve(&spec, &BranchAndBound::default(), 3)
+        .unwrap()
+        .overall_quality;
     let objective = mube.objective(&spec).unwrap();
     let mut previous = f64::INFINITY;
     for budget in [1u64, 4, 16, 64, 4096] {

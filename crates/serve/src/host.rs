@@ -304,7 +304,7 @@ pub fn solver_by_name(name: &str) -> Result<Box<dyn Solver>, String> {
 
 /// Paper-style default weights restricted to QEFs this universe supports:
 /// mttf only when at least one source declares the characteristic.
-fn default_weights(universe: &Universe) -> Weights {
+pub fn default_weights(universe: &Universe) -> Weights {
     let has_mttf = universe
         .sources()
         .iter()
@@ -414,7 +414,11 @@ fn apply_edits(mube: &Mube, session: &mut Session, edits: &[Edit]) -> Result<usi
     Ok(edits.len())
 }
 
-fn source_by_name(universe: &Universe, name: &str) -> Result<SourceId, String> {
+/// Looks a source up by its name.
+///
+/// # Errors
+/// No source in `universe` has that name.
+pub fn source_by_name(universe: &Universe, name: &str) -> Result<SourceId, String> {
     universe
         .sources()
         .iter()

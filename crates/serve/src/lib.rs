@@ -32,6 +32,8 @@ pub mod host;
 pub mod json;
 pub mod proto;
 
-pub use host::{serve_connection, solver_by_name, Job, SessionHost};
+pub use host::{
+    default_weights, serve_connection, solver_by_name, source_by_name, Job, SessionHost,
+};
 pub use json::{Json, JsonError};
 pub use proto::{parse_request, Command, Edit, Request, SessionSpec};

@@ -39,7 +39,7 @@ fn main() {
 
     // --- Plain 1:1 matching: the address concept stays fragmented. ---
     let mube = MubeBuilder::new(&universe).build();
-    let plain = mube.solve_default(&spec, 1).unwrap();
+    let plain = mube.solve(&spec, &TabuSearch::default(), 1).unwrap();
     println!("=== plain 1:1 matching (θ = 0.4) ===");
     print_gas(&universe, &plain.schema);
     let bridged = plain.schema.gas().iter().any(|ga| {
@@ -81,7 +81,7 @@ fn main() {
     let spec2 = spec.clone().with_ga_constraint(bridge.clone());
 
     let mube2 = MubeBuilder::new(compound.universe()).build();
-    let fused = mube2.solve_default(&spec2, 1).unwrap();
+    let fused = mube2.solve(&spec2, &TabuSearch::default(), 1).unwrap();
     println!("\n=== compound elements + bridging GA constraint ===");
     print_gas(compound.universe(), &fused.schema);
 

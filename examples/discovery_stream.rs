@@ -38,7 +38,9 @@ fn main() {
 
         let mube = MubeBuilder::new(&universe).sketches(sketches).build();
         let spec = ProblemSpec::new(15);
-        let solution = mube.solve_default(&spec, 3).expect("solvable");
+        let solution = mube
+            .solve(&spec, &TabuSearch::default(), 3)
+            .expect("solvable");
 
         println!(
             "discovered {visible:>3} sources -> Q = {:.4}, {} GAs, solved in {:?}",

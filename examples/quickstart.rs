@@ -88,7 +88,9 @@ fn main() {
         )
         .with_theta(0.75);
 
-    let solution = mube.solve_default(&spec, 42).expect("solvable");
+    let solution = mube
+        .solve(&spec, &TabuSearch::default(), 42)
+        .expect("solvable");
 
     println!("µBE chose the following data integration system:\n");
     println!("{solution}");

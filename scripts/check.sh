@@ -48,6 +48,10 @@ echo "==> mubed serving smoke (4 concurrent sessions under a cancel storm,"
 echo "    every history bit-identical to its serial cancel-free replay)"
 cargo run --release -q --bin mubed -- --smoke
 
+echo "==> frozen end-to-end benchmark package (builds --locked against the"
+echo "    workspace crates it links; fmt, clippy, tests, traced smoke run)"
+benchmark/check.sh
+
 echo "==> committed kernel trajectory carries the full-run threshold verdict"
 grep -q '"meets_thresholds": true' BENCH_kernels.json
 

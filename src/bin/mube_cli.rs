@@ -11,15 +11,7 @@
 //! * `match FILE --sources NAME,NAME,... [--theta T]` — run the Match
 //!   operator alone on an explicit source set.
 //!
-//! ## Universe file format
-//!
-//! Line-based, `#` comments; one source per line:
-//!
-//! ```text
-//! sitename | cardinality | attr1, attr2, attr3 | key=value key=value
-//! ```
-//!
-//! The trailing characteristics section is optional.
+//! The universe file format is documented in [`mube::universe_file`].
 
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
@@ -27,6 +19,8 @@ use std::process::ExitCode;
 
 use mube::datagen::UniverseConfig;
 use mube::prelude::*;
+use mube::serve::{default_weights, solver_by_name, source_by_name};
+use mube::universe_file::{format_universe, parse_universe};
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -49,7 +43,7 @@ usage:
   mube-cli solve FILE --max-sources M [--theta T] [--seed S] [--solver NAME]
             [--weights name=w,...] [--require-source NAME]...
   mube-cli match FILE --sources NAME,NAME,... [--theta T]
-solvers: tabu (default), sa, pso, sls, greedy, random";
+solvers: tabu (default), sa, pso, sls, greedy, random, exhaustive";
 
 fn run(args: &[String]) -> Result<String, String> {
     let mut args = args.iter().map(String::as_str);
@@ -135,76 +129,6 @@ fn cmd_generate(args: &mut dyn Iterator<Item = &str>) -> Result<String, String> 
     }
 }
 
-/// Serializes a universe to the file format.
-fn format_universe(universe: &Universe) -> String {
-    let mut out = String::from("# mube universe: name | cardinality | attrs | characteristics\n");
-    for source in universe.sources() {
-        let attrs = source.attributes().join(", ");
-        let chars = source
-            .characteristics()
-            .iter()
-            .map(|(k, v)| format!("{k}={v}"))
-            .collect::<Vec<_>>()
-            .join(" ");
-        let _ = writeln!(
-            out,
-            "{} | {} | {} | {}",
-            source.name(),
-            source.cardinality(),
-            attrs,
-            chars
-        );
-    }
-    out
-}
-
-/// Parses the file format into a universe.
-fn parse_universe(text: &str) -> Result<Universe, String> {
-    let mut universe = Universe::new();
-    for (lineno, line) in text.lines().enumerate() {
-        let line = line.trim();
-        if line.is_empty() || line.starts_with('#') {
-            continue;
-        }
-        let parts: Vec<&str> = line.split('|').map(str::trim).collect();
-        if parts.len() < 3 {
-            return Err(format!(
-                "line {}: expected 'name | cardinality | attrs [| characteristics]'",
-                lineno + 1
-            ));
-        }
-        let cardinality: u64 = parts[1]
-            .parse()
-            .map_err(|e| format!("line {}: bad cardinality: {e}", lineno + 1))?;
-        let attrs: Vec<String> = parts[2]
-            .split(',')
-            .map(|a| a.trim().to_owned())
-            .filter(|a| !a.is_empty())
-            .collect();
-        let mut builder = SourceBuilder::new(parts[0])
-            .attributes(attrs)
-            .cardinality(cardinality);
-        if let Some(chars) = parts.get(3) {
-            for pair in chars.split_whitespace() {
-                let (key, value) = pair
-                    .split_once('=')
-                    .ok_or_else(|| format!("line {}: bad characteristic {pair:?}", lineno + 1))?;
-                let value: f64 = value
-                    .parse()
-                    .map_err(|e| format!("line {}: bad characteristic value: {e}", lineno + 1))?;
-                builder = builder.characteristic(key, value);
-            }
-        }
-        universe
-            .add_source(builder)
-            .map_err(|e| format!("line {}: {e}", lineno + 1))?;
-    }
-    if universe.is_empty() {
-        return Err("universe file contains no sources".to_owned());
-    }
-    Ok(universe)
-}
-
 fn load_universe(opts: &Options) -> Result<Universe, String> {
     let path = opts
         .positional
@@ -212,15 +136,6 @@ fn load_universe(opts: &Options) -> Result<Universe, String> {
         .ok_or("missing universe file argument")?;
     let text = std::fs::read_to_string(path).map_err(|e| format!("reading {path}: {e}"))?;
     parse_universe(&text)
-}
-
-fn source_by_name(universe: &Universe, name: &str) -> Result<SourceId, String> {
-    universe
-        .sources()
-        .iter()
-        .find(|s| s.name() == name)
-        .map(|s| s.id())
-        .ok_or_else(|| format!("no source named {name:?}"))
 }
 
 // ------------------------------------------------------------------- solve
@@ -263,41 +178,13 @@ fn cmd_solve(args: &mut dyn Iterator<Item = &str>) -> Result<String, String> {
         }
     }
 
-    let solver: Box<dyn Solver> = match opts.single("solver")?.unwrap_or("tabu") {
-        "tabu" => Box::new(TabuSearch::default()),
-        "sa" => Box::new(SimulatedAnnealing::default()),
-        "pso" => Box::new(BinaryPso::default()),
-        "sls" => Box::new(StochasticLocalSearch::default()),
-        "greedy" => Box::new(Greedy::default()),
-        "random" => Box::new(RandomSearch::default()),
-        other => return Err(format!("unknown solver {other:?}")),
-    };
+    let solver = solver_by_name(opts.single("solver")?.unwrap_or("tabu"))?;
 
     let mube = MubeBuilder::new(&universe).build();
     let solution = mube
         .solve(&spec, solver.as_ref(), seed)
         .map_err(|e| e.to_string())?;
     Ok(render_solution(&universe, &solution))
-}
-
-/// Paper-style weights restricted to QEFs that exist for this universe:
-/// always matching/cardinality/coverage/redundancy; mttf only if declared.
-fn default_weights(universe: &Universe) -> Weights {
-    let has_mttf = universe
-        .sources()
-        .iter()
-        .any(|s| s.characteristic("mttf").is_some());
-    if has_mttf {
-        Weights::paper_defaults()
-    } else {
-        Weights::new([
-            ("matching", 0.3),
-            ("cardinality", 0.3),
-            ("coverage", 0.25),
-            ("redundancy", 0.15),
-        ])
-        .expect("static weights valid")
-    }
 }
 
 fn render_solution(universe: &Universe, solution: &Solution) -> String {
@@ -382,32 +269,6 @@ alpha.com | 1000 | title, author, isbn | mttf=100 latency=50
 beta.org  | 2000 | title, author       | mttf=80
 gamma.net | 500  | voltage, turbine    |
 ";
-
-    #[test]
-    fn parse_roundtrip() {
-        let u = parse_universe(SAMPLE).unwrap();
-        assert_eq!(u.len(), 3);
-        assert_eq!(u.expect_source(SourceId(0)).name(), "alpha.com");
-        assert_eq!(u.expect_source(SourceId(0)).arity(), 3);
-        assert_eq!(
-            u.expect_source(SourceId(0)).characteristic("mttf"),
-            Some(100.0)
-        );
-        assert_eq!(u.expect_source(SourceId(1)).cardinality(), 2000);
-        assert_eq!(u.expect_source(SourceId(2)).characteristics().len(), 0);
-        // Serialize and re-parse: same universe.
-        let text = format_universe(&u);
-        let again = parse_universe(&text).unwrap();
-        assert_eq!(u, again);
-    }
-
-    #[test]
-    fn parse_rejects_malformed() {
-        assert!(parse_universe("just one field").is_err());
-        assert!(parse_universe("name | notanumber | a, b").is_err());
-        assert!(parse_universe("name | 10 | a | badpair").is_err());
-        assert!(parse_universe("# only comments\n").is_err());
-    }
 
     #[test]
     fn solve_subcommand_end_to_end() {

@@ -38,6 +38,7 @@ use std::sync::Arc;
 use mube::datagen::UniverseConfig;
 use mube::prelude::*;
 use mube::serve::{serve_connection, Json, SessionHost, SessionSpec};
+use mube::universe_file::parse_universe;
 use mube_serve::proto::{Command, Edit, Request};
 
 const USAGE: &str = "\
@@ -106,53 +107,6 @@ fn load_universe(args: &[String]) -> Result<Universe, String> {
             .universe);
     }
     Err("need --universe FILE, --generate N, or --smoke".to_owned())
-}
-
-/// Parses the `mube-cli` universe file format.
-fn parse_universe(text: &str) -> Result<Universe, String> {
-    let mut universe = Universe::new();
-    for (lineno, line) in text.lines().enumerate() {
-        let line = line.trim();
-        if line.is_empty() || line.starts_with('#') {
-            continue;
-        }
-        let parts: Vec<&str> = line.split('|').map(str::trim).collect();
-        if parts.len() < 3 {
-            return Err(format!(
-                "line {}: expected 'name | cardinality | attrs [| characteristics]'",
-                lineno + 1
-            ));
-        }
-        let cardinality: u64 = parts[1]
-            .parse()
-            .map_err(|e| format!("line {}: bad cardinality: {e}", lineno + 1))?;
-        let attrs: Vec<String> = parts[2]
-            .split(',')
-            .map(|a| a.trim().to_owned())
-            .filter(|a| !a.is_empty())
-            .collect();
-        let mut builder = SourceBuilder::new(parts[0])
-            .attributes(attrs)
-            .cardinality(cardinality);
-        if let Some(chars) = parts.get(3) {
-            for pair in chars.split_whitespace() {
-                let (key, value) = pair
-                    .split_once('=')
-                    .ok_or_else(|| format!("line {}: bad characteristic {pair:?}", lineno + 1))?;
-                let value: f64 = value
-                    .parse()
-                    .map_err(|e| format!("line {}: bad characteristic value: {e}", lineno + 1))?;
-                builder = builder.characteristic(key, value);
-            }
-        }
-        universe
-            .add_source(builder)
-            .map_err(|e| format!("line {}: {e}", lineno + 1))?;
-    }
-    if universe.is_empty() {
-        return Err("universe file contains no sources".to_owned());
-    }
-    Ok(universe)
 }
 
 fn serve_tcp(host: &Arc<SessionHost>, addr: &str) -> Result<ExitCode, String> {

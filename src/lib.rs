@@ -37,8 +37,9 @@
 //!     .with_weights(Weights::new([("matching", 1.0)]).unwrap())
 //!     .with_theta(0.6);
 //!
-//! // 3. Solve and inspect.
-//! let solution = mube.solve_default(&spec, 42).unwrap();
+//! // 3. Solve with the paper's tabu search and inspect. Any `Solver` goes
+//! //    here: a `Portfolio` race or an exact `BranchAndBound` included.
+//! let solution = mube.solve(&spec, &TabuSearch::default(), 42).unwrap();
 //! assert_eq!(solution.num_sources(), 2);
 //! println!("{solution}");
 //! ```
@@ -71,6 +72,8 @@ pub use mube_schema as schema;
 pub use mube_serve as serve;
 pub use mube_similarity as similarity;
 
+pub mod universe_file;
+
 /// One-stop imports for typical use.
 pub mod prelude {
     pub use mube_baseline::{DeaBaseline, TopCardinality};
@@ -80,7 +83,7 @@ pub mod prelude {
         SolutionDiff, SpecDelta, UniverseSnapshot,
     };
     pub use mube_opt::{
-        BatchEvaluator, BinaryPso, Exhaustive, Greedy, Portfolio, PortfolioMember,
+        BatchEvaluator, BinaryPso, BranchAndBound, Exhaustive, Greedy, Portfolio, PortfolioMember,
         PortfolioOutcome, RandomSearch, SimulatedAnnealing, Solver, StochasticLocalSearch,
         TabuSearch,
     };

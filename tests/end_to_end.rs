@@ -172,7 +172,9 @@ fn uncooperative_universe_still_solvable() {
     // No sketches at all: coverage/redundancy degrade to 0 but solving works.
     let generated = UniverseConfig::small_test(30, 23).generate();
     let mube = MubeBuilder::new(&generated.universe).build(); // no sketches
-    let solution = mube.solve_default(&ProblemSpec::new(5), 1).unwrap();
+    let solution = mube
+        .solve(&ProblemSpec::new(5), &TabuSearch::default(), 1)
+        .unwrap();
     assert_eq!(solution.qef_value("coverage"), Some(0.0));
     assert!(solution.qef_value("matching").unwrap() > 0.0);
 }

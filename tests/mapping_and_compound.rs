@@ -72,7 +72,7 @@ fn compound_universe_runs_through_the_full_engine() {
     let spec = ProblemSpec::new(2)
         .with_weights(Weights::new([("matching", 1.0)]).unwrap())
         .with_ga_constraint(bridge.clone());
-    let solution = mube.solve_default(&spec, 0).unwrap();
+    let solution = mube.solve(&spec, &TabuSearch::default(), 0).unwrap();
 
     assert!(solution.schema.subsumes_gas([&bridge]));
     // Expansion yields the n:m correspondence (3 split attrs + 1 whole).
@@ -99,7 +99,7 @@ fn mapping_of_empty_solution_is_empty() {
         .unwrap();
     let mube = MubeBuilder::new(&universe).build();
     let spec = ProblemSpec::new(1).with_weights(Weights::new([("cardinality", 1.0)]).unwrap());
-    let solution = mube.solve_default(&spec, 0).unwrap();
+    let solution = mube.solve(&spec, &TabuSearch::default(), 0).unwrap();
     let mapping = solution.mapping(&universe);
     // One source, nothing matched: schema empty, everything unmapped.
     assert_eq!(mapping.num_gas(), 0);

@@ -65,32 +65,6 @@ fn shared_objective_cache_survives_thread_hammer() {
     assert_eq!(objective.evictions(), 0);
 }
 
-/// A tightly capacity-bounded cache still returns correct values — eviction
-/// only costs recomputation — and reports its evictions.
-#[test]
-fn bounded_cache_evicts_but_stays_correct() {
-    let generated = UniverseConfig::small_test(24, 9).generate();
-    let mube = engine_for(&generated);
-    let unbounded = ProblemSpec::new(6);
-    let bounded = ProblemSpec::new(6).with_cache_capacity(16);
-
-    let a = mube
-        .solve(&unbounded, &TabuSearch::quick(), 3)
-        .expect("solvable");
-    let b = mube
-        .solve(&bounded, &TabuSearch::quick(), 3)
-        .expect("solvable");
-    // Same search, same answer — the cache is transparent.
-    assert_eq!(a.selected, b.selected);
-    assert_eq!(a.overall_quality, b.overall_quality);
-    assert_eq!(a.stats.evaluations, b.stats.evaluations);
-    // The tiny budget must actually have evicted (tabu evaluates far more
-    // than 16 distinct subsets here) and paid with extra Match(S) calls.
-    assert_eq!(a.stats.evictions, 0);
-    assert!(b.stats.evictions > 0, "16-entry cap never evicted");
-    assert!(b.stats.match_calls >= a.stats.match_calls);
-}
-
 /// Batched engine solves are bit-identical to serial ones, end to end.
 #[test]
 fn batched_engine_solve_matches_serial() {
@@ -135,13 +109,27 @@ fn portfolio_solve_passes_audit_and_is_deterministic() {
         cross_seed: true,
     };
 
-    let (solution, members) = mube
-        .solve_portfolio(&spec, &portfolio, 17)
-        .expect("solvable");
+    let solution = mube.solve(&spec, &portfolio, 17).expect("solvable");
     let report = mube.audit(&spec, &solution);
     assert!(
         report.is_clean(),
         "portfolio winner failed audit:\n{report}"
+    );
+
+    // Per-member rows come from running the portfolio directly on the
+    // engine's objective; that path must agree with the engine solve.
+    let outcome = portfolio.run(&mube.objective(&spec).expect("valid spec"), 17);
+    let members = outcome.members;
+    let raced: Vec<SourceId> = outcome
+        .result
+        .best
+        .iter()
+        .map(|i| SourceId(i as u32))
+        .collect();
+    assert_eq!(solution.selected, raced);
+    assert_eq!(
+        solution.overall_quality.to_bits(),
+        outcome.result.objective.to_bits()
     );
 
     assert_eq!(members.len(), 3);
@@ -160,9 +148,10 @@ fn portfolio_solve_passes_audit_and_is_deterministic() {
         assert!(solution.overall_quality >= m.objective);
     }
 
-    let (again, members_again) = mube
-        .solve_portfolio(&spec, &portfolio, 17)
-        .expect("solvable");
+    let again = mube.solve(&spec, &portfolio, 17).expect("solvable");
+    let members_again = portfolio
+        .run(&mube.objective(&spec).expect("valid spec"), 17)
+        .members;
     assert_eq!(solution.selected, again.selected);
     assert_eq!(solution.overall_quality, again.overall_quality);
     assert_eq!(

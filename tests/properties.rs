@@ -177,7 +177,7 @@ fn evaluate_matches_solver_view() {
     }
     let mube = MubeBuilder::new(&u).build();
     let spec = ProblemSpec::new(2).with_weights(Weights::new([("matching", 1.0)]).unwrap());
-    let solution = mube.solve_default(&spec, 0).unwrap();
+    let solution = mube.solve(&spec, &TabuSearch::default(), 0).unwrap();
     let q = mube.evaluate(&spec, &solution.selected).unwrap();
     assert!((q - solution.overall_quality).abs() < 1e-12);
 }
