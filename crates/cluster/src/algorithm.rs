@@ -81,7 +81,8 @@ pub struct MatchStats {
     /// Full cluster-pair linkage evaluations: similarity computed by
     /// iterating the attribute-pair cross product. The brute-force kernel
     /// pays one per alive pair per round; the incremental kernel only pays
-    /// them in the seed pass.
+    /// them in the seed pass, one per class pair, including the pairs
+    /// whose score it reads from a neighbor row.
     pub linkage_evals: u64,
     /// O(1) Lance–Williams derivations of a merged cluster's similarity
     /// from its parents' rows (incremental kernel only).

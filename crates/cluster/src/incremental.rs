@@ -449,13 +449,12 @@ fn seed_pairs(
     // The `BTreeMap` drain is sorted by class id, so `admit` sees the pairs
     // in the same order every run — the heap's tie-breaking (and therefore
     // the merge trace) must not depend on per-process hash seeding.
-    let groups: Vec<(u32, Vec<usize>)> = groups.into_iter().collect();
-    let pos_of_class: BTreeMap<u32, usize> = groups
-        .iter()
-        .enumerate()
-        .map(|(p, &(c, _))| (c, p))
-        .collect();
-    for (gi, (ci, left)) in groups.iter().enumerate() {
+    let (classes, members): (Vec<u32>, Vec<Vec<usize>>) = groups.into_iter().unzip();
+    let representative = |l: &[usize], r: &[usize]| {
+        linkage.accumulate(&clusters[l[0]].attrs, &clusters[r[0]].attrs, sim)
+    };
+    let mut partners: Vec<(usize, usize)> = Vec::new();
+    for (gi, (ci, left)) in classes.iter().zip(&members).enumerate() {
         // Sparse seed pass: when the similarity source exposes each class's
         // non-zero neighbors, only those class pairs can matter — an absent
         // pair scores exactly 0.0, which for θ > 0 clears neither the
@@ -463,8 +462,11 @@ fn seed_pairs(
         // acc ≠ 0.0) nor the θ heap gate — so the quadratic group-pair
         // sweep collapses to the stored pair set, bitwise-identically.
         // θ ≤ 0 keeps the dense sweep: there a 0.0 pair IS heap-eligible.
-        // Neighbor lists and `groups` are both sorted ascending by class
-        // id, so pairs reach `admit` in the dense sweep's order.
+        // The neighbor row spans the whole universe while this call's
+        // classes are usually a handful, so the row is intersected with the
+        // later classes (d ≤ ci pairs were handled from d's side) rather
+        // than walked; the matches come out ascending by class id, so pairs
+        // reach `admit` in the dense sweep's order.
         let neighbors = if theta > 0.0 {
             sim.neighbors_of_class(*ci)
         } else {
@@ -475,42 +477,44 @@ fn seed_pairs(
                 // The self pair is not in the neighbor list (it excludes
                 // the class itself) but is always evaluated: identical
                 // names score 1.0 regardless of sparsity.
+                let acc = representative(left, left);
                 class_pair_seed(
-                    left, left, true, clusters, linkage, theta, sim, store, adj, heap, stats,
+                    acc, left, left, true, clusters, linkage, theta, store, adj, heap, stats,
                 );
-                for d in nbrs {
-                    // Classes with no seed cluster in this Match call (the
-                    // candidate subset need not span the whole universe)
-                    // have no group; d ≤ ci pairs were handled from d's side.
-                    if let Some(&p) = pos_of_class.get(d) {
-                        if p > gi {
-                            class_pair_seed(
-                                left,
-                                &groups[p].1,
-                                false,
-                                clusters,
-                                linkage,
-                                theta,
-                                sim,
-                                store,
-                                adj,
-                                heap,
-                                stats,
+                let scores = sim.neighbor_scores_of_class(*ci);
+                intersect_ascending(nbrs, &classes[gi + 1..], &mut partners);
+                for &(p, k) in &partners {
+                    let right = &members[gi + 1 + p];
+                    // A neighbor score is non-zero, so for a singleton pair
+                    // every linkage's accumulator is the score itself.
+                    let acc = match scores {
+                        Some(scores) => {
+                            let acc = f64::from(scores[k]);
+                            debug_assert_eq!(
+                                acc.to_bits(),
+                                representative(left, right).to_bits(),
+                                "neighbor score of class {ci} disagrees with its similarity"
                             );
+                            acc
                         }
-                    }
+                        None => representative(left, right),
+                    };
+                    class_pair_seed(
+                        acc, left, right, false, clusters, linkage, theta, store, adj, heap, stats,
+                    );
                 }
             }
             None => {
-                for (gj, (_, right)) in groups.iter().enumerate().skip(gi) {
+                for (gj, right) in members.iter().enumerate().skip(gi) {
+                    let acc = representative(left, right);
                     class_pair_seed(
+                        acc,
                         left,
                         right,
                         gi == gj,
                         clusters,
                         linkage,
                         theta,
-                        sim,
                         store,
                         adj,
                         heap,
@@ -522,25 +526,76 @@ fn seed_pairs(
     }
 }
 
-/// Evaluates one class pair's representative accumulator and, when it can
-/// clear admission or θ, admits every mergeable member pair with the shared
-/// value. `same` marks the diagonal (left == right), where member pairs are
-/// deduplicated by position.
+/// Fills `out` with `(position in later, position in row)` for every class
+/// id the two lists share, ascending. Both lists ascend by class id. The
+/// shorter one is walked, and each of its ids is found in the longer one by
+/// galloping on from the previous match, so the cost is
+/// O(min(L, G) · log max(L, G)) at worst: a universe-wide neighbor row
+/// against a Match call's handful of classes costs a handful of short
+/// searches, and a full-universe call with thousands of classes walks the
+/// row instead.
+fn intersect_ascending(row: &[u32], later: &[u32], out: &mut Vec<(usize, usize)>) {
+    out.clear();
+    let Some(&first) = later.first() else {
+        return;
+    };
+    let skipped = gallop(row, first);
+    let row = &row[skipped..];
+    let row_is_short = row.len() <= later.len();
+    let (short, long) = if row_is_short {
+        (row, later)
+    } else {
+        (later, row)
+    };
+    let mut from = 0;
+    for (pos, &key) in short.iter().enumerate() {
+        from += gallop(&long[from..], key);
+        match long.get(from) {
+            None => break,
+            Some(&d) if d == key => {
+                let (p, k) = if row_is_short {
+                    (from, pos)
+                } else {
+                    (pos, from)
+                };
+                out.push((p, skipped + k));
+                from += 1;
+            }
+            Some(_) => {}
+        }
+    }
+}
+
+/// The position of the first entry `>= key` in ascending `sorted`, found by
+/// doubling a probe distance from the front and then binary-searching the
+/// last bracket: O(log p) for an answer at position p.
+fn gallop(sorted: &[u32], key: u32) -> usize {
+    let mut bound = 1;
+    while bound <= sorted.len() && sorted[bound - 1] < key {
+        bound *= 2;
+    }
+    let lo = bound / 2;
+    lo + sorted[lo..bound.min(sorted.len())].partition_point(|&d| d < key)
+}
+
+/// Admits every mergeable member pair of one class pair with the class
+/// pair's shared representative accumulator `acc`, when it can clear
+/// admission or θ. `same` marks the diagonal (left == right), where member
+/// pairs are deduplicated by position.
 #[allow(clippy::too_many_arguments)]
 fn class_pair_seed(
+    acc: f64,
     left: &[usize],
     right: &[usize],
     same: bool,
     clusters: &[Cluster],
     linkage: Linkage,
     theta: f64,
-    sim: &dyn AttrSimilarity,
     store: &mut PairStore,
     adj: &mut [Vec<u32>],
     heap: &mut BinaryHeap<PairEntry>,
     stats: &mut MatchStats,
 ) {
-    let acc = linkage.accumulate(&clusters[left[0]].attrs, &clusters[right[0]].attrs, sim);
     stats.linkage_evals += 1;
     let enumerate = linkage.keep_accumulator(acc, theta) || acc >= theta;
     if !enumerate {
@@ -601,5 +656,43 @@ fn admit(
             round,
         });
         stats.heap_pushes += 1;
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::{gallop, intersect_ascending};
+
+    #[test]
+    fn intersection_is_ascending_from_either_side() {
+        let later = [2u32, 3, 5, 8, 13, 21];
+        let mut out = Vec::new();
+        for row in [
+            &[][..],
+            &[3, 21][..],
+            &[0, 1, 4, 22][..],
+            &[1, 2, 3, 4, 5, 6, 7, 8, 13, 20, 21, 30][..],
+        ] {
+            for len in 0..=later.len() {
+                let expected: Vec<(usize, usize)> = (0..len)
+                    .filter_map(|p| row.iter().position(|&d| d == later[p]).map(|k| (p, k)))
+                    .collect();
+                intersect_ascending(row, &later[..len], &mut out);
+                assert_eq!(out, expected, "row {row:?} against {:?}", &later[..len]);
+            }
+        }
+    }
+
+    #[test]
+    fn gallop_finds_the_first_entry_not_below_the_key() {
+        let sorted: Vec<u32> = (0..40).map(|i| 3 * i).collect();
+        for key in 0..125 {
+            let expected = sorted
+                .iter()
+                .position(|&d| d >= key)
+                .unwrap_or(sorted.len());
+            assert_eq!(gallop(&sorted, key), expected, "key {key}");
+        }
+        assert_eq!(gallop(&[], 7), 0);
     }
 }

@@ -47,6 +47,20 @@ pub trait AttrSimilarity {
     fn neighbors_of_class(&self, _class: u32) -> Option<&[u32]> {
         None
     }
+
+    /// Optional scores of [`AttrSimilarity::neighbors_of_class`], position
+    /// for position.
+    ///
+    /// Contract: when this returns `Some`, `neighbors_of_class(class)`
+    /// returns a slice of the same length, and for every position `k`,
+    /// `f64::from(scores[k])` is bitwise `similarity(a, b)` for all members
+    /// `a` of `class` and `b` of class `neighbors[k]`. The incremental seed
+    /// pass then reads a class pair's similarity from the row it found the
+    /// pair in instead of asking [`AttrSimilarity::similarity`] again. The
+    /// default (`None`) keeps that lookup, which is always correct.
+    fn neighbor_scores_of_class(&self, _class: u32) -> Option<&[f32]> {
+        None
+    }
 }
 
 /// Computes similarities on demand from a universe and a string measure,

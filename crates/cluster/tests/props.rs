@@ -122,8 +122,9 @@ fn arb_linkage() -> impl Strategy<Value = Linkage> {
 
 /// The sparse blocked similarity store behind the [`AttrSimilarity`]
 /// contract, mirroring the engine's production adapter: flattened
-/// attribute indices, classes = distinct-name slots, neighbor lists from
-/// the CSR rows. Values are f32-rounded, exactly like the dense matrix.
+/// attribute indices, classes = distinct-name slots, neighbor lists and
+/// their scores from the CSR rows. Values are f32-rounded, exactly like the
+/// dense matrix.
 struct SparseAdapter {
     sparse: SparseSimilarity,
     offsets: Vec<u32>,
@@ -162,6 +163,68 @@ impl AttrSimilarity for SparseAdapter {
     fn neighbors_of_class(&self, class: u32) -> Option<&[u32]> {
         Some(self.sparse.neighbor_slots(class))
     }
+
+    fn neighbor_scores_of_class(&self, class: u32) -> Option<&[f32]> {
+        Some(self.sparse.neighbor_scores(class))
+    }
+}
+
+/// Matches `ids` twice — the incremental kernel driven by the sparse
+/// store's neighbor lists, and the brute-force kernel on f32-quantized
+/// string-path values — and fails the case on any divergence. By the
+/// GramIndex bit-identity contract the two stores agree bitwise, so a
+/// divergence is a neighbor-skipping bug in the incremental kernel.
+fn sparse_matches_brute(
+    universe: &Universe,
+    ids: &[SourceId],
+    constraints: &Constraints,
+    config: &MatchConfig,
+) -> Result<(), TestCaseError> {
+    let measure = NgramJaccard::default();
+    let reference = F32Quantized(MeasureAdapter::new(universe, &measure));
+    let sparse = SparseAdapter::new(universe);
+    let incremental = match_sources(
+        universe,
+        ids,
+        constraints,
+        &MatchConfig {
+            kernel: MatchKernel::Incremental,
+            ..config.clone()
+        },
+        &sparse,
+    );
+    let brute = match_sources(
+        universe,
+        ids,
+        constraints,
+        &MatchConfig {
+            kernel: MatchKernel::BruteForce,
+            ..config.clone()
+        },
+        &reference,
+    );
+    match (incremental, brute) {
+        (None, None) => {}
+        (Some(a), Some(b)) => {
+            prop_assert_eq!(a.schema, b.schema);
+            prop_assert!(
+                a.quality.total_cmp(&b.quality).is_eq(),
+                "quality {} != {}",
+                a.quality,
+                b.quality
+            );
+            prop_assert_eq!(a.rounds, b.rounds);
+        }
+        (a, b) => {
+            prop_assert!(
+                false,
+                "feasibility disagrees: sparse={:?} brute={:?}",
+                a.is_some(),
+                b.is_some()
+            );
+        }
+    }
+    Ok(())
 }
 
 proptest! {
@@ -303,45 +366,42 @@ proptest! {
         prune in any::<bool>(),
     ) {
         // The sparse-driven seed pass (neighbor lists over distinct-name
-        // classes, implicit-zero misses) against the brute-force kernel on
-        // f32-quantized string-path values: by the GramIndex bit-identity
-        // contract the two stores agree bitwise, so any divergence is a
-        // neighbor-skipping bug in the incremental kernel. θ > 0 by
+        // classes, implicit-zero misses) over every source. θ > 0 by
         // construction — the regime where skipping exact-zero pairs is
         // provably lossless for every linkage.
-        let measure = NgramJaccard::default();
-        let reference = F32Quantized(MeasureAdapter::new(&universe, &measure));
-        let sparse = SparseAdapter::new(&universe);
         let ids: Vec<SourceId> = universe.sources().iter().map(|s| s.id()).collect();
         let config = MatchConfig { theta, beta, linkage, prune, ..MatchConfig::default() };
-        let incremental = match_sources(
-            &universe,
-            &ids,
-            &Constraints::none(),
-            &MatchConfig { kernel: MatchKernel::Incremental, ..config.clone() },
-            &sparse,
-        );
-        let brute = match_sources(
-            &universe,
-            &ids,
-            &Constraints::none(),
-            &MatchConfig { kernel: MatchKernel::BruteForce, ..config },
-            &reference,
-        );
-        match (incremental, brute) {
-            (None, None) => {}
-            (Some(a), Some(b)) => {
-                prop_assert_eq!(a.schema, b.schema);
-                prop_assert!(
-                    a.quality.total_cmp(&b.quality).is_eq(),
-                    "quality {} != {}", a.quality, b.quality
-                );
-                prop_assert_eq!(a.rounds, b.rounds);
-            }
-            (a, b) => {
-                prop_assert!(false, "feasibility disagrees: sparse={:?} brute={:?}",
-                    a.is_some(), b.is_some());
-            }
+        sparse_matches_brute(&universe, &ids, &Constraints::none(), &config)?;
+    }
+
+    #[test]
+    fn incremental_with_sparse_neighbors_matches_brute_on_a_strict_subset(
+        universe in arb_universe(),
+        keep in prop::collection::vec(any::<bool>(), 8),
+        theta in 0.05f64..1.0,
+        beta in 1usize..4,
+        linkage in arb_linkage(),
+        prune in any::<bool>(),
+        with_ga in any::<bool>(),
+    ) {
+        // S leaves sources out, so neighbor rows list classes that have no
+        // seed cluster in this Match call — a case the full-universe test
+        // above never reaches. The optional GA constraint inside S adds a
+        // multi-attribute seed cluster next to the classed singletons.
+        let ids: Vec<SourceId> = universe
+            .sources()
+            .iter()
+            .map(|s| s.id())
+            .filter(|id| keep[id.index()])
+            .collect();
+        prop_assume!(!ids.is_empty() && ids.len() < universe.len());
+        let mut constraints = Constraints::none();
+        if with_ga && ids.len() >= 2 {
+            constraints.require_ga(
+                GlobalAttribute::new([AttrId::new(ids[0], 0), AttrId::new(ids[1], 0)]).unwrap(),
+            );
         }
+        let config = MatchConfig { theta, beta, linkage, prune, ..MatchConfig::default() };
+        sparse_matches_brute(&universe, &ids, &constraints, &config)?;
     }
 }

@@ -183,6 +183,16 @@ impl AttrSimilarity for MatrixSimilarity {
             Backend::Sparse(s) => Some(s.neighbor_slots(class)),
         }
     }
+
+    /// Sparse backend only: the stored scores of
+    /// [`AttrSimilarity::neighbors_of_class`], which
+    /// [`AttrSimilarity::similarity`] widens from the same `f32` values.
+    fn neighbor_scores_of_class(&self, class: u32) -> Option<&[f32]> {
+        match &self.backend {
+            Backend::Dense(_) => None,
+            Backend::Sparse(s) => Some(s.neighbor_scores(class)),
+        }
+    }
 }
 
 #[cfg(test)]
@@ -316,6 +326,7 @@ mod tests {
             MatrixSimilarity::with_backend(&u, &m, &SimBackend::Sparse(SparseOptions::default()))
                 .unwrap();
         assert!(dense.neighbors_of_class(0).is_none());
+        assert!(dense.neighbor_scores_of_class(0).is_none());
         let attrs: Vec<AttrId> = u.all_attrs().collect();
         for &a in &attrs {
             for &b in &attrs {
@@ -323,9 +334,16 @@ mod tests {
                 if ca == cb {
                     continue;
                 }
-                let listed = sparse.neighbors_of_class(ca).unwrap().contains(&cb);
-                if listed {
+                let row = sparse.neighbors_of_class(ca).unwrap();
+                let scores = sparse.neighbor_scores_of_class(ca).unwrap();
+                assert_eq!(row.len(), scores.len());
+                if let Some(k) = row.iter().position(|&d| d == cb) {
                     assert!(sparse.neighbors_of_class(cb).unwrap().contains(&ca));
+                    assert_eq!(
+                        f64::from(scores[k]).to_bits(),
+                        sparse.similarity(a, b).to_bits(),
+                        "{a} vs {b}"
+                    );
                 } else {
                     assert_eq!(sparse.similarity(a, b), 0.0, "{a} vs {b}");
                 }

@@ -26,7 +26,7 @@
 //! for lookups and insertions, never across a solve or a send.
 
 use std::collections::BTreeMap;
-use std::io::{BufRead, Write};
+use std::io::{BufRead, Read, Write};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::mpsc::{Receiver, Sender};
 use std::sync::{mpsc, Arc, Mutex, PoisonError};
@@ -472,11 +472,20 @@ fn inspect_response(id: u64, mube: &Mube, session: &Session) -> String {
     )
 }
 
+/// The longest request line [`serve_connection`] reads, newline excluded.
+/// A longer line is answered with an id-0 error and skipped, so one client
+/// cannot make the host buffer an unbounded line.
+const MAX_REQUEST_BYTES: usize = 1 << 20;
+
 /// Serves one newline-delimited JSON connection over the host: requests
 /// read from `reader`, responses written to `writer` as they complete
 /// (solve responses may arrive after later requests' — clients correlate
 /// by id). Returns once the input reaches EOF **and** every response for
 /// a request read from this connection has been written.
+///
+/// A line that cannot carry a request — longer than 1 MiB, not UTF-8, or
+/// not a parseable request — is answered with an error under the reserved
+/// id 0, and the connection keeps serving the lines after it.
 ///
 /// Sessions outlive connections: they belong to the host, so a client
 /// may reconnect and keep iterating.
@@ -484,19 +493,45 @@ fn inspect_response(id: u64, mube: &Mube, session: &Session) -> String {
 /// # Errors
 /// Propagates read failures on the input; write failures terminate the
 /// writer side quietly (the client hung up).
-pub fn serve_connection<R, W>(host: &Arc<SessionHost>, reader: R, writer: W) -> std::io::Result<()>
+pub fn serve_connection<R, W>(
+    host: &Arc<SessionHost>,
+    mut reader: R,
+    writer: W,
+) -> std::io::Result<()>
 where
     R: BufRead,
     W: Write + Send + 'static,
 {
     let (out_tx, out_rx) = mpsc::channel::<String>();
     let pump = std::thread::spawn(move || write_lines(writer, out_rx));
-    for line in reader.lines() {
-        let line = line?;
+    let mut buf = Vec::new();
+    loop {
+        buf.clear();
+        let read = (&mut reader)
+            .take(MAX_REQUEST_BYTES as u64 + 1)
+            .read_until(b'\n', &mut buf)?;
+        if read == 0 {
+            break;
+        }
+        if buf.last() == Some(&b'\n') {
+            buf.pop();
+            if buf.last() == Some(&b'\r') {
+                buf.pop();
+            }
+        } else if buf.len() > MAX_REQUEST_BYTES {
+            reader.skip_until(b'\n')?;
+            let message = format!("request line exceeds the {MAX_REQUEST_BYTES}-byte limit");
+            let _ = out_tx.send(error_response(0, &message));
+            continue;
+        }
+        let Ok(line) = std::str::from_utf8(&buf) else {
+            let _ = out_tx.send(error_response(0, "request line is not valid UTF-8"));
+            continue;
+        };
         if line.trim().is_empty() {
             continue;
         }
-        match parse_request(&line) {
+        match parse_request(line) {
             Ok(request) => host.handle_request(request, &out_tx),
             // A line that does not parse far enough to carry an id gets
             // the reserved id 0.
@@ -705,6 +740,28 @@ mod tests {
         assert!(host.cancel(99).is_err());
     }
 
+    /// A writer the test keeps a handle to, so it can read back the
+    /// responses once the connection has ended.
+    #[derive(Clone, Default)]
+    struct SharedWriter(Arc<Mutex<Vec<u8>>>);
+
+    impl Write for SharedWriter {
+        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+            unpoison(self.0.lock()).extend_from_slice(buf);
+            Ok(buf.len())
+        }
+        fn flush(&mut self) -> std::io::Result<()> {
+            Ok(())
+        }
+    }
+
+    impl SharedWriter {
+        fn responses(&self) -> Vec<Json> {
+            let text = String::from_utf8(unpoison(self.0.lock()).clone()).unwrap();
+            text.lines().map(|l| Json::parse(l).unwrap()).collect()
+        }
+    }
+
     #[test]
     fn serve_connection_round_trips_ndjson() {
         let host = host();
@@ -715,22 +772,9 @@ mod tests {
             r#"{"id": 2, "cmd": "solve", "session": 0}"#,
             "\n",
         );
-        let out: Arc<Mutex<Vec<u8>>> = Arc::new(Mutex::new(Vec::new()));
-        struct SharedWriter(Arc<Mutex<Vec<u8>>>);
-        impl Write for SharedWriter {
-            fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
-                let mut sink = unpoison(self.0.lock());
-                sink.extend_from_slice(buf);
-                Ok(buf.len())
-            }
-            fn flush(&mut self) -> std::io::Result<()> {
-                Ok(())
-            }
-        }
-        serve_connection(&host, input.as_bytes(), SharedWriter(Arc::clone(&out))).unwrap();
-        let written = unpoison(out.lock());
-        let text = String::from_utf8(written.clone()).unwrap();
-        let lines: Vec<Json> = text.lines().map(|l| Json::parse(l).unwrap()).collect();
+        let out = SharedWriter::default();
+        serve_connection(&host, input.as_bytes(), out.clone()).unwrap();
+        let lines = out.responses();
         assert_eq!(lines.len(), 3);
         // The malformed line got the reserved id 0 and ok=false.
         assert!(lines
@@ -741,5 +785,36 @@ mod tests {
         assert!(lines
             .iter()
             .any(|v| v.get("solution").is_some() && v.get("ok") == Some(&Json::Bool(true))));
+    }
+
+    #[test]
+    fn oversized_and_non_utf8_lines_get_errors_and_the_connection_survives() {
+        let host = host();
+        let request = |id: u64| format!(r#"{{"id": {id}, "cmd": "create-session"}}"#);
+        // One byte over the limit, ending in a well-formed request that
+        // must be skipped along with the rest of its line.
+        let mut input = vec![b' '; MAX_REQUEST_BYTES + 1];
+        input.extend_from_slice(request(7).as_bytes());
+        input.push(b'\n');
+        input.extend_from_slice(b"\xff\n");
+        // Exactly at the limit: served.
+        let mut last = request(2).into_bytes();
+        last.resize(MAX_REQUEST_BYTES, b' ');
+        input.extend_from_slice(&last);
+        input.push(b'\n');
+
+        let out = SharedWriter::default();
+        serve_connection(&host, &input[..], out.clone()).unwrap();
+        let responses = out.responses();
+        assert_eq!(responses.len(), 3, "{responses:?}");
+        let error = |v: &Json| {
+            assert_eq!(v.get("id").and_then(Json::as_u64), Some(0), "{v:?}");
+            assert_eq!(v.get("ok"), Some(&Json::Bool(false)), "{v:?}");
+            v.get("error").and_then(Json::as_str).unwrap().to_owned()
+        };
+        assert!(error(&responses[0]).contains(&MAX_REQUEST_BYTES.to_string()));
+        assert!(error(&responses[1]).contains("UTF-8"));
+        assert_eq!(responses[2].get("id").and_then(Json::as_u64), Some(2));
+        assert_eq!(responses[2].get("ok"), Some(&Json::Bool(true)));
     }
 }

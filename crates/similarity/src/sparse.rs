@@ -345,6 +345,16 @@ impl SparseSimilarity {
         self.csr.row_cols(slot as usize)
     }
 
+    /// The stored scores of [`SparseSimilarity::neighbor_slots`]`(slot)`,
+    /// position for position — the values [`SparseSimilarity::similarity`]
+    /// reads for those pairs.
+    ///
+    /// # Panics
+    /// Panics if `slot` is out of range.
+    pub fn neighbor_scores(&self, slot: u32) -> &[f32] {
+        self.csr.row_vals(slot as usize)
+    }
+
     /// Similarity between attributes `i` and `j` (original indices) —
     /// same signature and semantics as
     /// [`crate::SimilarityMatrix::similarity`], with implicit-zero misses.

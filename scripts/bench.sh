@@ -25,7 +25,8 @@
 # scale harness (DESIGN.md §14) asserts sparse/dense bit-identity and solve
 # identity every run, and that the dense backend refuses its memory budget
 # at the 10k-source tier while the spill-backed sparse build carries Match
-# and the greedy solve anyway.
+# and the greedy solve anyway; a full run also asserts the sparse solve
+# stays within 1.2x of the dense one.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 

@@ -59,9 +59,11 @@ echo "==> committed bound trajectory certifies exactness and closes its gaps"
 grep -q '"matches_exhaustive": true' BENCH_bound.json
 ! grep -q '"gap": -' BENCH_bound.json
 
-echo "==> committed scale trajectory certifies losslessness and the dense refusal"
+echo "==> committed scale trajectory certifies losslessness, the dense refusal and"
+echo "    the sparse/dense solve-time threshold"
 grep -q '"bit_identical": true' BENCH_scale.json
 grep -q '"dense_refused": true' BENCH_scale.json
+grep -q '"meets_thresholds": true' BENCH_scale.json
 
 echo "==> committed tenancy trajectory certifies concurrent/serial bit-identity"
 grep -q '"replay_bit_identical": true' BENCH_tenancy.json
