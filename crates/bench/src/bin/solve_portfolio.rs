@@ -21,6 +21,14 @@
 //!   from an untimed [`Portfolio::run`] over [`Mube::objective`], which
 //!   replays the timed race exactly.
 //!
+//! Plus one `pruned` arm per size: greedy and tabu search solved directly
+//! through [`Mube::solve`], where each round evaluates best leaf bound first
+//! and skips the candidates the bound rules out, versus the same solver
+//! over the objective with its bounds hidden (the full scan). The arm
+//! asserts on every run that both select the same sources with the same
+//! quality bits, records `match_calls`, `evaluations` and wall time for
+//! both, and stamps `"pruned_identical": true`.
+//!
 //! `speedup_portfolio` is multistart-vs-portfolio wall clock (shared-cache
 //! savings are real on any core count); `speedup_batched` is
 //! serial-vs-batched and only exceeds ~1.0 on multi-core hosts. See
@@ -36,7 +44,11 @@ use std::time::Instant;
 
 use mube_bench::{engine, paper_spec, universe, Scale};
 use mube_core::{Mube, ProblemSpec, Solution};
-use mube_opt::{BatchEvaluator, Greedy, Portfolio, Solver, StochasticLocalSearch, TabuSearch};
+use mube_opt::{
+    BatchEvaluator, Greedy, Portfolio, Solver, StochasticLocalSearch, Subset, SubsetProblem,
+    TabuSearch,
+};
+use mube_schema::SourceId;
 
 /// The racing members every portfolio-side arm uses. `quick` configurations:
 /// the bench sweeps four universe sizes and the point is relative cost, not
@@ -63,6 +75,89 @@ fn timed_solve(mube: &Mube, spec: &ProblemSpec, solver: &dyn Solver, seed: u64) 
         .solve(spec, solver, seed)
         .expect("paper spec is feasible");
     (start.elapsed().as_secs_f64() * 1e3, solution)
+}
+
+/// Hides a problem's bounds: `component_bound` keeps the trait's `None`,
+/// so greedy and tabu evaluate every candidate — the full scan the
+/// `pruned` arm compares against.
+struct Unbounded<'a>(&'a dyn SubsetProblem);
+
+impl SubsetProblem for Unbounded<'_> {
+    fn universe_size(&self) -> usize {
+        self.0.universe_size()
+    }
+
+    fn max_selected(&self) -> usize {
+        self.0.max_selected()
+    }
+
+    fn pinned(&self) -> &[usize] {
+        self.0.pinned()
+    }
+
+    fn evaluate(&self, subset: &Subset) -> f64 {
+        self.0.evaluate(subset)
+    }
+}
+
+/// The `pruned` arm for one solver: best-of-`reps` wall clock of the
+/// direct (bound-pruned) solve and of the full scan over the bound-hiding
+/// wrapper, asserting on every run that both return the same selection
+/// and quality bits.
+fn pruned_arm(
+    mube: &Mube,
+    spec: &ProblemSpec,
+    solver: &dyn Solver,
+    seed: u64,
+    reps: u32,
+) -> String {
+    let mut direct_ms = f64::INFINITY;
+    let mut full_ms = f64::INFINITY;
+    let mut counts = (0, 0, 0, 0);
+    for _ in 0..reps.max(1) {
+        let (ms, direct) = timed_solve(mube, spec, solver, seed);
+        direct_ms = direct_ms.min(ms);
+        let start = Instant::now();
+        let objective = mube.objective(spec).expect("paper spec is feasible");
+        let full = solver.solve(&Unbounded(&objective), seed);
+        full_ms = full_ms.min(start.elapsed().as_secs_f64() * 1e3);
+        let selected: Vec<SourceId> = full.best.iter().map(|i| SourceId(i as u32)).collect();
+        assert_eq!(
+            direct.selected,
+            selected,
+            "{}: pruned selection diverged from the full scan",
+            solver.name()
+        );
+        assert_eq!(
+            direct.overall_quality.to_bits(),
+            full.objective.to_bits(),
+            "{}: pruned quality diverged from the full scan",
+            solver.name()
+        );
+        counts = (
+            direct.stats.evaluations,
+            direct.stats.match_calls,
+            full.evaluations,
+            objective.match_calls(),
+        );
+    }
+    let (direct_evals, direct_match, full_evals, full_match) = counts;
+    eprintln!(
+        "  pruned {}: {direct_match} vs {full_match} Match(S) calls, \
+         {direct_ms:.1} vs {full_ms:.1} ms",
+        solver.name()
+    );
+    format!(
+        "\"{}\": {{\"direct\": {{\"millis\": {:.3}, \"evaluations\": {}, \"match_calls\": {}}}, \
+         \"full_scan\": {{\"millis\": {:.3}, \"evaluations\": {}, \"match_calls\": {}}}}}",
+        solver.name(),
+        direct_ms,
+        direct_evals,
+        direct_match,
+        full_ms,
+        full_evals,
+        full_match,
+    )
 }
 
 fn hit_rate(cache_hits: u64, evaluations: u64) -> f64 {
@@ -164,6 +259,15 @@ fn bench_size(size: usize, reps: u32, out: &mut String) {
         )
         .members;
 
+    // Pruned arm: best-leaf-bound-first greedy and tabu vs the full scan.
+    let pruned: Vec<String> = [
+        Box::new(Greedy::default()) as Box<dyn Solver>,
+        Box::new(TabuSearch::quick()),
+    ]
+    .iter()
+    .map(|solver| pruned_arm(&mube, &spec, solver.as_ref(), seed, reps))
+    .collect();
+
     let speedup_batched = serial_ms / batched_ms.max(1e-9);
     let speedup_portfolio = multistart_ms / portfolio_ms.max(1e-9);
     eprintln!(
@@ -191,6 +295,7 @@ fn bench_size(size: usize, reps: u32, out: &mut String) {
          \"best_quality\": {:.6}}}, \
          \"portfolio\": {{\"millis\": {:.3}, \"winner\": \"{}\", \"arm\": {}, \
          \"members\": [{}]}}, \
+         \"pruned\": {{{}, \"pruned_identical\": true}}, \
          \"speedup_batched\": {:.3}, \"speedup_portfolio\": {:.3}}}",
         size,
         generated.universe.total_attrs(),
@@ -204,6 +309,7 @@ fn bench_size(size: usize, reps: u32, out: &mut String) {
         best.stats.portfolio_member.unwrap_or("-"),
         arm_json(portfolio_ms, &best),
         member_body.join(", "),
+        pruned.join(", "),
         speedup_batched,
         speedup_portfolio,
     );
@@ -237,7 +343,7 @@ fn main() {
     let json = format!(
         "{{\n  \"bench\": \"solve_portfolio\",\n  \"mode\": \"{}\",\n  \"scale\": \"reduced\",\n  \
          \"host_parallelism\": {},\n  \"rounds\": {},\n  \
-         \"units\": {{\"millis\": \"best-of-reps wall clock (serial/batched); single-run (multistart/portfolio)\"}},\n  \
+         \"units\": {{\"millis\": \"best-of-reps wall clock (serial/batched/pruned); single-run (multistart/portfolio)\"}},\n  \
          \"note\": \"speedup_batched needs host_parallelism > 1; speedup_portfolio measures the shared Q(S) cache vs cold multistart on any host\",\n  \
          \"sizes\": [\n{}\n  ]\n}}\n",
         if smoke { "smoke" } else { "full" },
@@ -255,6 +361,7 @@ fn main() {
         "winner",
         "host_parallelism",
         "evictions",
+        "pruned_identical",
     ] {
         assert!(json.contains(key), "BENCH json lost key {key}");
     }

@@ -363,8 +363,10 @@ impl MubeObjective {
         let mut spans_ok = true;
         let mut q = 0.0;
         for (i, (w, binding)) in self.bindings.iter().enumerate() {
-            let value = match binding {
-                QefBinding::Matching => {
+            let value = match self.qef_value(binding, &selection) {
+                Some(value) => value,
+                // The matching binding: run `Match(S)`.
+                None => {
                     self.match_calls.fetch_add(1, Ordering::Relaxed);
                     match self.match_schema_deferred(&ids) {
                         Some(outcome) => {
@@ -381,13 +383,6 @@ impl MubeObjective {
                         // schema to cluster, no reusable components.
                         None => return (f64::NEG_INFINITY, ComponentEval::infeasible()),
                     }
-                }
-                QefBinding::Registered(idx) => self
-                    .snapshot
-                    .qef(*idx)
-                    .evaluate(&selection, self.snapshot.context()),
-                QefBinding::Characteristic(qef) => {
-                    qef.evaluate(&selection, self.snapshot.context())
                 }
             };
             debug_assert!(
@@ -409,6 +404,22 @@ impl MubeObjective {
         )
     }
 
+    /// The value of a non-matching binding on a selection; `None` for the
+    /// matching binding, whose value needs `Match(S)`.
+    fn qef_value(&self, binding: &QefBinding, selection: &SourceSelection) -> Option<f64> {
+        match binding {
+            QefBinding::Matching => None,
+            QefBinding::Registered(idx) => Some(
+                self.snapshot
+                    .qef(*idx)
+                    .evaluate(selection, self.snapshot.context()),
+            ),
+            QefBinding::Characteristic(qef) => {
+                Some(qef.evaluate(selection, self.snapshot.context()))
+            }
+        }
+    }
+
     /// Computes admissible per-binding caps for the completions of a
     /// partial assignment, or `None` when no feasible completion exists
     /// (a required source is decided out under a matching binding, or the
@@ -418,6 +429,12 @@ impl MubeObjective {
     ///
     /// * **Matching** — capped at the trivial `1.0`: `Match(S)` quality is
     ///   not monotone in `S`, so no relaxation applies.
+    /// * **Leaf** — when the assignment is fully decided (the possible set
+    ///   *is* the decided-in set `S`), `S` is the only completion, so every
+    ///   non-matching cap is that binding's exact value on `S`. The bound
+    ///   then exceeds `Q(S)` by exactly `w_matching · (1 − F1(S))` plus
+    ///   [`BOUND_SLACK`] — what lets greedy and tabu skip a candidate's
+    ///   `Match(S)` (see `mube_opt::BatchEvaluator::select`).
     /// * **Registered QEFs** — a [`Qef::monotone`] function evaluated on
     ///   the *possible* set (decided-in plus free) dominates every
     ///   completion; a [`Qef::modular`] decomposition additionally packs
@@ -428,14 +445,14 @@ impl MubeObjective {
     ///   normalized value over the possible set, dominates all four
     ///   aggregations.
     ///
-    /// The monotone evaluations run against the [`EvalArena`]: if the
-    /// possible set already has a memoized component vector (common near
-    /// the root, where the possible set is the full universe — an early
-    /// full-universe evaluation seeds it), its components are reused and
-    /// the bound costs no QEF work. Bound probes never *insert* into the
-    /// arena: entries must be complete, bit-identical full evaluations,
-    /// and a bound path computes neither `Match(S)` nor non-monotone
-    /// components.
+    /// The monotone (and leaf) evaluations run against the [`EvalArena`]:
+    /// if the possible set already has a memoized component vector (common
+    /// near the root, where the possible set is the full universe — an
+    /// early full-universe evaluation seeds it — and at any leaf already
+    /// evaluated), its components are reused and the bound costs no QEF
+    /// work. Bound probes never *insert* into the arena: entries must be
+    /// complete, bit-identical full evaluations, and a bound path computes
+    /// neither `Match(S)` nor non-monotone components.
     fn binding_caps(&self, decided_in: &Subset, decided_out: &Subset) -> Option<BindingCaps> {
         if self.has_matching && self.pinned.iter().any(|&i| decided_out.contains(i)) {
             return None;
@@ -454,11 +471,16 @@ impl MubeObjective {
                     .then(|| entry.eval.components.clone())
             })
             .flatten();
+        let leaf = possible == *decided_in;
         let mut caps = vec![0.0; self.bindings.len()];
         let mut modular: Vec<(usize, Vec<f64>)> = Vec::new();
         for (k, (_, binding)) in self.bindings.iter().enumerate() {
             caps[k] = match binding {
                 QefBinding::Matching => 1.0,
+                _ if leaf => match &cached {
+                    Some(components) => components[k],
+                    None => self.qef_value(binding, &possible_sel).unwrap_or(1.0),
+                },
                 QefBinding::Registered(idx) => {
                     let qef = self.snapshot.qef(*idx);
                     let mut cap = if qef.monotone() {

@@ -1,4 +1,4 @@
-//! Concurrent evaluation of candidate batches.
+//! Concurrent evaluation of candidate batches, and best-first selection.
 //!
 //! The local-search solvers spend essentially all their time in
 //! `SubsetProblem::evaluate` (for µBE, one `Match(S)` run per uncached
@@ -14,6 +14,14 @@
 //! is evaluated exactly once in both modes, and the solver's subsequent
 //! move selection sees exactly the same numbers: batched and serial
 //! searches are bit-identical per seed.
+//!
+//! Greedy and tabu search only need the *best* eligible candidate of a
+//! batch, not every value, so they go through `BatchEvaluator::select`
+//! instead: it ranks the candidates by their leaf bound
+//! ([`SubsetProblem::component_bound`] of the candidate against its
+//! complement) and evaluates best bound first, stopping once no remaining
+//! bound can reach the best value found. It returns exactly the candidate
+//! a full scan would, while skipping the evaluations the bounds rule out.
 
 use std::sync::OnceLock;
 
@@ -100,28 +108,105 @@ impl BatchEvaluator {
     /// Contiguous stripes of the batch go to each worker, so candidate `i`'s
     /// value lands at index `i` no matter how the threads interleave. Each
     /// candidate is evaluated exactly once — identical evaluation counts to
-    /// the serial path.
+    /// the serial path. Solvers that need every value (SLS, PSO, the
+    /// singleton start) call this; greedy and tabu, which only need the
+    /// best eligible candidate, go through `select` and evaluate less.
     pub fn evaluate<P: SubsetProblem + ?Sized>(
         &self,
         problem: &P,
         candidates: &[Subset],
     ) -> Vec<f64> {
+        self.map(candidates, |c| problem.evaluate(c))
+    }
+
+    /// Applies a pure `f` to every item, returning values in input order:
+    /// serially below `min_batch` or at width 1, otherwise on contiguous
+    /// stripes across scoped worker threads.
+    fn map<T: Sync>(&self, items: &[T], f: impl Fn(&T) -> f64 + Sync) -> Vec<f64> {
         let width = self.width();
-        if width < 2 || candidates.len() < self.min_batch.max(2) {
-            return candidates.iter().map(|c| problem.evaluate(c)).collect();
+        if width < 2 || items.len() < self.min_batch.max(2) {
+            return items.iter().map(f).collect();
         }
-        let mut values = vec![0.0f64; candidates.len()];
-        let chunk = candidates.len().div_ceil(width);
+        let mut out = vec![0.0f64; items.len()];
+        let chunk = items.len().div_ceil(width);
+        let f = &f;
         std::thread::scope(|scope| {
-            for (cands, vals) in candidates.chunks(chunk).zip(values.chunks_mut(chunk)) {
+            for (xs, ys) in items.chunks(chunk).zip(out.chunks_mut(chunk)) {
                 scope.spawn(move || {
-                    for (c, v) in cands.iter().zip(vals.iter_mut()) {
-                        *v = problem.evaluate(c);
+                    for (x, y) in xs.iter().zip(ys.iter_mut()) {
+                        *y = f(x);
                     }
                 });
             }
         });
-        values
+        out
+    }
+
+    /// Picks the candidate a full evaluate-then-scan would pick, evaluating
+    /// best leaf bound first and skipping what the bounds rule out.
+    ///
+    /// Candidate `k` is *eligible* when `bar(k)` is `None` or its value
+    /// strictly exceeds `bar(k)`. The result is `(k, value)` for the
+    /// maximum value among eligible candidates, ties going to the lowest
+    /// index, or `None` when no candidate is eligible.
+    ///
+    /// Each candidate's leaf bound is
+    /// `problem.component_bound(c, &c.complement())`, an upper bound on
+    /// `evaluate(c)` by the trait's admissibility contract. The bound pass
+    /// runs on the calling thread: for µBE a leaf bound costs about as much
+    /// as the cheap QEFs, so spawning workers for it costs more than it
+    /// saves. Candidates without a bound are evaluated first, as one batch
+    /// exactly as [`Self::evaluate`] would. Bounded candidates are then
+    /// evaluated one at a time in descending bound order (ties by index),
+    /// skipping any whose bound is at most its `bar` (it could never be
+    /// eligible) and stopping at the first bound below the best eligible
+    /// value so far (nothing after it can win or tie). A bound *equal* to
+    /// the best value is still evaluated: it may tie at a lower index.
+    ///
+    /// Which candidates get evaluated depends only on the values and the
+    /// bounds, never on the width, so evaluation counts stay
+    /// width-invariant.
+    pub(crate) fn select<P: SubsetProblem + ?Sized>(
+        &self,
+        problem: &P,
+        candidates: &[Subset],
+        bar: impl Fn(usize) -> Option<f64>,
+    ) -> Option<(usize, f64)> {
+        let bounds: Vec<Option<f64>> = candidates
+            .iter()
+            .map(|c| problem.component_bound(c, &c.complement()))
+            .collect();
+        let eligible = |k: usize, value: f64| bar(k).is_none_or(|floor| value > floor);
+        let mut best: Option<(usize, f64)> = None;
+        let offer = |best: &mut Option<(usize, f64)>, k: usize, value: f64| {
+            let better = best.is_none_or(|(bk, bv)| value > bv || (value == bv && k < bk));
+            if better && eligible(k, value) {
+                *best = Some((k, value));
+            }
+        };
+        let unbounded: Vec<usize> = (0..candidates.len())
+            .filter(|&k| bounds[k].is_none())
+            .collect();
+        let values = self.map(&unbounded, |&k| problem.evaluate(&candidates[k]));
+        for (&k, &value) in unbounded.iter().zip(&values) {
+            offer(&mut best, k, value);
+        }
+        let mut ranked: Vec<(usize, f64)> = bounds
+            .iter()
+            .enumerate()
+            .filter_map(|(k, b)| b.map(|b| (k, b)))
+            .collect();
+        ranked.sort_by(|a, b| b.1.total_cmp(&a.1).then(a.0.cmp(&b.0)));
+        for (k, bound) in ranked {
+            if best.is_some_and(|(_, bv)| bound < bv) {
+                break;
+            }
+            if bar(k).is_some_and(|floor| bound <= floor) {
+                continue;
+            }
+            offer(&mut best, k, problem.evaluate(&candidates[k]));
+        }
+        best
     }
 }
 

@@ -13,9 +13,11 @@ use crate::subset::Subset;
 /// Greedy forward selection. Stateless apart from the evaluation pool.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct Greedy {
-    /// Evaluation pool for each round's add-candidates (serial by default;
-    /// any width is bit-identical — ties still go to the lowest item index
-    /// because selection scans the batch values in candidate order).
+    /// Evaluation pool for each round's add-candidates (serial by default).
+    /// Rounds evaluate best leaf bound first, one candidate at a time (see
+    /// [`BatchEvaluator`]), so the width only parallelizes candidates the
+    /// problem offers no bound for. Any width is bit-identical — ties still
+    /// go to the lowest item index — and spends the same evaluations.
     pub batch: BatchEvaluator,
 }
 
@@ -36,9 +38,10 @@ impl Solver for Greedy {
                     break;
                 }
                 iters += 1;
-                // Propose every single-item extension, evaluate the whole
-                // round as one batch, then take the first maximum.
-                let candidates: Vec<Subset> = current
+                // Propose every single-item extension, then take the first
+                // maximum — which is only accepted if it improves on the
+                // current value (any value is, while that is infeasible).
+                let mut candidates: Vec<Subset> = current
                     .complement_iter()
                     .map(|i| {
                         let mut candidate = current.clone();
@@ -46,20 +49,14 @@ impl Solver for Greedy {
                         candidate
                     })
                     .collect();
-                let objs = self.batch.evaluate(counted, &candidates);
-                let mut best_add: Option<(usize, f64)> = None;
-                for (k, &obj) in objs.iter().enumerate() {
-                    if best_add.is_none_or(|(_, b)| obj > b) {
-                        best_add = Some((k, obj));
-                    }
-                }
-                match best_add {
-                    Some((k, obj)) if obj > current_obj || !current_obj.is_finite() => {
-                        current = candidates[k].clone();
+                let bar = current_obj.is_finite().then_some(current_obj);
+                match self.batch.select(counted, &candidates, |_| bar) {
+                    Some((k, obj)) => {
+                        current = candidates.swap_remove(k);
                         current_obj = obj;
                         trajectory.push(current_obj);
                     }
-                    _ => break,
+                    None => break,
                 }
             }
             (current, current_obj, iters, trajectory)

@@ -4,96 +4,25 @@
 //! 6 comparison found tabu best *on average*, not always). A [`Portfolio`]
 //! hedges: it runs N member solvers concurrently on worker threads against
 //! the *same* problem — which, for µBE, also means against the same shared
-//! `Q(S)` memo cache, so members amortize each other's `Match(S)` work —
-//! and keeps a shared incumbent (best subset found by anyone, published via
-//! an atomic objective-bits fast path). Between rounds, members that
-//! support [`Solver::with_warm_start`] are re-seeded from the incumbent, so
-//! good basins found by one member are exploited by the others.
+//! `Q(S)` memo cache, so members amortize each other's `Match(S)` work.
+//! Rounds are barriers: every member finishes round r before any member
+//! starts round r + 1. Between rounds, members that support
+//! [`Solver::with_warm_start`] are re-seeded from the incumbent — the best
+//! subset any member found in any round so far — so good basins found by
+//! one member are exploited by the others.
 //!
-//! Determinism: each member's seed stream is derived from the outer seed
-//! and the member index alone, so a single-round portfolio is fully
-//! deterministic (thread scheduling cannot change any member's trajectory —
-//! members never exchange state mid-round). With `rounds > 1` the *winner
-//! selection* is still deterministic, but warm-start contents depend on
-//! which member had published the best incumbent at the end of the previous
-//! round, which is round-barrier-synchronized and therefore deterministic
-//! too.
+//! Determinism: each member's seed stream is derived from the outer seed,
+//! the member index and the round alone; members never exchange state
+//! mid-round; and both the incumbent and the winner are chosen by
+//! objective, ties going to the lowest member index and then the earliest
+//! round. Thread finish order therefore changes nothing: not a member's
+//! trajectory, not a warm start, not the winner.
 
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 
 use crate::problem::SubsetProblem;
 use crate::solver::{SolveResult, Solver};
 use crate::subset::Subset;
-
-/// Shared best-solution cell: a lock-free objective-bits fast path guarding
-/// a mutex-held `(Subset, f64)` payload. Readers that only need "is my
-/// objective better than the incumbent's?" never take the lock.
-#[derive(Debug)]
-struct Incumbent {
-    /// `f64::to_bits` of the best objective so far (NEG_INFINITY initially).
-    /// Monotonically improving; updated with a compare-exchange loop keyed
-    /// on `total_cmp` of the decoded values.
-    bits: AtomicU64,
-    best: Mutex<Option<(Subset, f64)>>,
-}
-
-/// Locks a mutex, recovering the guard from a poisoned lock (a panicking
-/// member thread must not wedge the portfolio).
-fn lock_unpoisoned<T>(m: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
-    m.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
-}
-
-impl Incumbent {
-    fn new() -> Self {
-        Self {
-            bits: AtomicU64::new(f64::NEG_INFINITY.to_bits()),
-            best: Mutex::new(None),
-        }
-    }
-
-    /// Current incumbent objective (fast path, no lock).
-    #[cfg(test)]
-    fn objective(&self) -> f64 {
-        f64::from_bits(self.bits.load(Ordering::Acquire))
-    }
-
-    /// Publishes `(subset, objective)` if it beats the incumbent. The CAS
-    /// loop filters losers without the lock; winners update the payload
-    /// under the lock and re-check there, so the payload always matches the
-    /// best objective ever CAS'd in.
-    fn offer(&self, subset: &Subset, objective: f64) {
-        let mut seen = self.bits.load(Ordering::Acquire);
-        loop {
-            if objective.total_cmp(&f64::from_bits(seen)) != std::cmp::Ordering::Greater {
-                return;
-            }
-            match self.bits.compare_exchange_weak(
-                seen,
-                objective.to_bits(),
-                Ordering::AcqRel,
-                Ordering::Acquire,
-            ) {
-                Ok(_) => break,
-                Err(now) => seen = now,
-            }
-        }
-        let mut best = lock_unpoisoned(&self.best);
-        if best
-            .as_ref()
-            .is_none_or(|(_, b)| objective.total_cmp(b) == std::cmp::Ordering::Greater)
-        {
-            *best = Some((subset.clone(), objective));
-        }
-    }
-
-    /// Snapshot of the incumbent's items, if any feasible one was published.
-    fn snapshot(&self) -> Option<Vec<usize>> {
-        lock_unpoisoned(&self.best)
-            .as_ref()
-            .map(|(s, _)| s.iter().collect())
-    }
-}
 
 /// Per-member outcome of a portfolio run, for experiment reports.
 #[derive(Debug, Clone, PartialEq)]
@@ -169,6 +98,22 @@ fn derive_seed(seed: u64, member: usize, round: u32) -> u64 {
     z ^ (z >> 31)
 }
 
+/// The best of `results` (indexed by member, then round): the highest
+/// objective under `total_cmp`, ties going to the lowest member index and
+/// then the earliest round — configuration order, never finish order.
+fn best_of(results: &[Vec<SolveResult>]) -> Option<(usize, usize)> {
+    let mut best: Option<(usize, usize, f64)> = None;
+    for (idx, rs) in results.iter().enumerate() {
+        for (round, r) in rs.iter().enumerate() {
+            if best.is_none_or(|(_, _, b)| r.objective.total_cmp(&b) == std::cmp::Ordering::Greater)
+            {
+                best = Some((idx, round, r.objective));
+            }
+        }
+    }
+    best.map(|(idx, round, _)| (idx, round))
+}
+
 impl Portfolio {
     /// The default µBE portfolio: tabu (the paper's winner), stochastic
     /// local search, and binary PSO, two rounds with cross-seeding.
@@ -186,107 +131,96 @@ impl Portfolio {
 
     /// Runs the race and returns the winner plus per-member stats.
     ///
-    /// Panics in a member thread are contained: the member simply posts no
-    /// result and the remaining members decide the outcome (an empty or
-    /// fully-panicked portfolio returns an infeasible result).
+    /// Each round is one thread scope, one thread per member, and its join
+    /// is the barrier. A member whose thread panics posts no result for
+    /// that round and sits out the later ones; the remaining members decide
+    /// the outcome (an empty or fully-panicked portfolio returns an
+    /// infeasible result).
     pub fn run(&self, problem: &dyn SubsetProblem, seed: u64) -> PortfolioOutcome {
-        let incumbent = Incumbent::new();
-        // (member index, per-round results) posted by worker threads.
-        let posted: Mutex<Vec<(usize, Vec<SolveResult>)>> = Mutex::new(Vec::new());
-        let rounds = self.rounds.max(1);
-        std::thread::scope(|scope| {
-            for (idx, member) in self.members.iter().enumerate() {
-                let incumbent = &incumbent;
-                let posted = &posted;
-                scope.spawn(move || {
-                    let mut results = Vec::with_capacity(rounds as usize);
-                    for round in 0..rounds {
-                        let warmed: Option<Box<dyn Solver>> = if round > 0 && self.cross_seed {
-                            incumbent
-                                .snapshot()
-                                .and_then(|items| member.with_warm_start(&items))
-                        } else {
-                            None
-                        };
-                        let solver: &dyn Solver = match &warmed {
-                            Some(s) => s.as_ref(),
-                            None => member.as_ref(),
-                        };
-                        let r = solver.solve(problem, derive_seed(seed, idx, round));
-                        incumbent.offer(&r.best, r.objective);
-                        let stop = r.cancelled;
-                        results.push(r);
-                        // Round boundary: a cancelled member run means the
-                        // token fired — later rounds would only spin through
-                        // their own immediate cancellation checks.
-                        if stop {
-                            break;
-                        }
+        // results[member][round]: every round the member completed.
+        let mut results: Vec<Vec<SolveResult>> = vec![Vec::new(); self.members.len()];
+        let mut live = vec![true; self.members.len()];
+        for round in 0..self.rounds.max(1) {
+            // The incumbent over rounds < `round`; infeasible results never
+            // seed anyone.
+            let warm: Option<Vec<usize>> = if round > 0 && self.cross_seed {
+                best_of(&results)
+                    .map(|(idx, r)| &results[idx][r])
+                    .filter(|r| r.objective > f64::NEG_INFINITY)
+                    .map(|r| r.best.iter().collect())
+            } else {
+                None
+            };
+            let posted: Vec<Option<SolveResult>> = std::thread::scope(|scope| {
+                let handles: Vec<_> = self
+                    .members
+                    .iter()
+                    .enumerate()
+                    .map(|(idx, member)| {
+                        let warm = warm.as_deref();
+                        live[idx].then(|| {
+                            scope.spawn(move || {
+                                let warmed = warm.and_then(|items| member.with_warm_start(items));
+                                let solver = warmed.as_deref().unwrap_or(member.as_ref());
+                                solver.solve(problem, derive_seed(seed, idx, round))
+                            })
+                        })
+                    })
+                    .collect();
+                handles
+                    .into_iter()
+                    .map(|h| h.and_then(|h| h.join().ok()))
+                    .collect()
+            });
+            let mut cancelled = false;
+            for (idx, r) in posted.into_iter().enumerate() {
+                match r {
+                    Some(r) => {
+                        cancelled |= r.cancelled;
+                        results[idx].push(r);
                     }
-                    lock_unpoisoned(posted).push((idx, results));
-                });
-            }
-        });
-        let mut posted = lock_unpoisoned(&posted);
-        posted.sort_by_key(|(idx, _)| *idx);
-
-        let total_evals: u64 = posted
-            .iter()
-            .flat_map(|(_, rs)| rs.iter().map(|r| r.evaluations))
-            .sum();
-        // The portfolio ran cancelled if any member round did: the winning
-        // round itself may have completed before the token fired, but the
-        // race as a whole was cut short.
-        let any_cancelled = posted.iter().any(|(_, rs)| rs.iter().any(|r| r.cancelled));
-        // Winner: best objective across every member round; ties go to the
-        // lowest member index, then the earliest round (configuration order
-        // — deterministic regardless of thread finishing order).
-        let mut winner: Option<(usize, usize)> = None;
-        let mut winner_obj = f64::NEG_INFINITY;
-        for (idx, results) in posted.iter() {
-            for (round, r) in results.iter().enumerate() {
-                if winner.is_none()
-                    || r.objective.total_cmp(&winner_obj) == std::cmp::Ordering::Greater
-                {
-                    winner = Some((*idx, round));
-                    winner_obj = r.objective;
+                    None => live[idx] = false,
                 }
+            }
+            // Round boundary: a cancelled member run means the token fired —
+            // later rounds would only spin through their own immediate
+            // cancellation checks.
+            if cancelled {
+                break;
             }
         }
 
-        let members: Vec<PortfolioMember> = posted
+        let total_evals: u64 = results.iter().flatten().map(|r| r.evaluations).sum();
+        // The portfolio ran cancelled if any member round did: the winning
+        // round itself may have completed before the token fired, but the
+        // race as a whole was cut short.
+        let any_cancelled = results.iter().flatten().any(|r| r.cancelled);
+        let winner = best_of(&results);
+
+        let members: Vec<PortfolioMember> = results
             .iter()
-            .map(|(idx, results)| {
-                let best = results
+            .enumerate()
+            .map(|(idx, rs)| PortfolioMember {
+                name: self.members[idx].name(),
+                objective: rs
                     .iter()
                     .map(|r| r.objective)
-                    .fold(f64::NEG_INFINITY, f64::max);
-                PortfolioMember {
-                    name: self.members[*idx].name(),
-                    objective: best,
-                    evaluations: results.iter().map(|r| r.evaluations).sum(),
-                    iterations: results.iter().map(|r| r.iterations).sum(),
-                    rounds: results.len() as u32,
-                    won: winner.is_some_and(|(w, _)| w == *idx),
-                }
+                    .fold(f64::NEG_INFINITY, f64::max),
+                evaluations: rs.iter().map(|r| r.evaluations).sum(),
+                iterations: rs.iter().map(|r| r.iterations).sum(),
+                rounds: rs.len() as u32,
+                won: winner.is_some_and(|(w, _)| w == idx),
             })
             .collect();
 
         let result = match winner {
-            Some((idx, round)) => {
-                let pos = posted
-                    .iter()
-                    .position(|(i, _)| *i == idx)
-                    .unwrap_or_default();
-                let r = posted[pos].1[round].clone();
-                SolveResult {
-                    evaluations: total_evals,
-                    winner: Some(self.members[idx].name()),
-                    batch_width: self.members.len(),
-                    cancelled: any_cancelled,
-                    ..r
-                }
-            }
+            Some((idx, round)) => SolveResult {
+                evaluations: total_evals,
+                winner: Some(self.members[idx].name()),
+                batch_width: self.members.len(),
+                cancelled: any_cancelled,
+                ..results[idx][round].clone()
+            },
             None => SolveResult {
                 best: Subset::empty(problem.universe_size()),
                 objective: f64::NEG_INFINITY,
@@ -333,6 +267,8 @@ impl Solver for Portfolio {
 
 #[cfg(test)]
 mod tests {
+    use std::sync::Mutex;
+
     use super::*;
     use crate::problem::testutil::{PairBonus, TopValues};
     use crate::sls::StochasticLocalSearch;
@@ -390,17 +326,78 @@ mod tests {
         assert_eq!(outcome.result.objective, best);
     }
 
+    /// A member that returns a fixed subset (sleeping first in a cold round
+    /// when `slow`) and records the warm start of every round it runs.
+    #[derive(Clone)]
+    struct Scripted {
+        items: Vec<usize>,
+        slow: bool,
+        warm: Option<Vec<usize>>,
+        seen: Arc<Mutex<Vec<Option<Vec<usize>>>>>,
+    }
+
+    impl Solver for Scripted {
+        fn solve(&self, problem: &dyn SubsetProblem, _seed: u64) -> SolveResult {
+            if self.slow && self.warm.is_none() {
+                std::thread::sleep(std::time::Duration::from_millis(200));
+            }
+            self.seen.lock().unwrap().push(self.warm.clone());
+            let best = Subset::from_indices(problem.universe_size(), self.items.iter().copied());
+            SolveResult {
+                objective: problem.evaluate(&best),
+                best,
+                evaluations: 1,
+                iterations: 1,
+                trajectory: Vec::new(),
+                winner: None,
+                batch_width: 1,
+                gap: None,
+                nodes_expanded: 0,
+                nodes_pruned: 0,
+                cancelled: false,
+            }
+        }
+
+        fn name(&self) -> &'static str {
+            "scripted"
+        }
+
+        fn with_warm_start(&self, items: &[usize]) -> Option<Box<dyn Solver>> {
+            Some(Box::new(Scripted {
+                warm: Some(items.to_vec()),
+                ..self.clone()
+            }))
+        }
+    }
+
     #[test]
-    fn incumbent_orders_offers_correctly() {
-        let inc = Incumbent::new();
-        assert_eq!(inc.snapshot(), None);
-        let a = Subset::from_indices(4, [0]);
-        let b = Subset::from_indices(4, [1, 2]);
-        inc.offer(&a, 1.0);
-        inc.offer(&b, 3.0);
-        inc.offer(&a, 2.0); // loser: incumbent stays at b
-        assert_eq!(inc.objective(), 3.0);
-        assert_eq!(inc.snapshot(), Some(vec![1, 2]));
+    fn rounds_are_barriers() {
+        // The fast member finishes round 0 long before the slow one posts
+        // the better subset; its round-1 warm start must still be that
+        // subset, not its own. The sleep only makes a race without a
+        // barrier lose; with one, the outcome does not depend on timing.
+        let p = TopValues::new(vec![1.0, 1.0, 5.0, 5.0], 2, vec![]);
+        let script = |items: Vec<usize>, slow: bool| Scripted {
+            items,
+            slow,
+            warm: None,
+            seen: Arc::new(Mutex::new(Vec::new())),
+        };
+        let fast = script(vec![0, 1], false);
+        let slow = script(vec![2, 3], true);
+        let portfolio = Portfolio {
+            members: vec![Arc::new(fast.clone()), Arc::new(slow.clone())],
+            rounds: 2,
+            cross_seed: true,
+        };
+        let outcome = portfolio.run(&p, 0);
+        assert_eq!(*fast.seen.lock().unwrap(), vec![None, Some(vec![2, 3])]);
+        assert_eq!(*slow.seen.lock().unwrap(), vec![None, Some(vec![2, 3])]);
+        assert_eq!(outcome.result.objective, 10.0);
+        // Ties go to the lowest member index, then the earliest round: the
+        // slow member's round 0 wins over both warm-started round 1 runs.
+        assert!(outcome.members[1].won);
+        assert_eq!(outcome.members[1].rounds, 2);
     }
 
     #[test]

@@ -51,9 +51,15 @@ pub trait SubsetProblem: Sync {
     /// bound (branch-and-bound then cannot prune below such nodes);
     /// `f64::NEG_INFINITY` asserts no feasible completion exists.
     ///
+    /// Greedy and tabu search ask for *leaf* bounds — `decided_in` a
+    /// candidate and `decided_out` its complement, so the bound covers that
+    /// candidate alone — and skip evaluating candidates the bounds prove
+    /// cannot be selected. The tighter the leaf bound, the more they skip.
+    ///
     /// Admissibility is the implementor's contract: a value below the true
     /// completion optimum makes [`crate::bnb::BranchAndBound`] prune the
-    /// optimum away and voids its exactness guarantee.
+    /// optimum away and voids its exactness guarantee, and can make greedy
+    /// and tabu search select a different candidate than a full scan.
     fn component_bound(&self, _decided_in: &Subset, _decided_out: &Subset) -> Option<f64> {
         None
     }

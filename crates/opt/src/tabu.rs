@@ -13,7 +13,7 @@
 //! item are never generated (see [`crate::moves`]).
 
 use crate::batch::BatchEvaluator;
-use crate::moves::{sample_moves_biased, Move};
+use crate::moves::sample_moves_biased;
 use crate::problem::SubsetProblem;
 use crate::solver::{random_start, run_counted, singleton_greedy_start, SolveResult, Solver};
 use crate::subset::Subset;
@@ -59,9 +59,14 @@ pub struct TabuSearch {
     /// exactly this warm-start behaviour).
     pub warm_start: Option<Vec<usize>>,
     /// How to evaluate each iteration's sampled neighborhood: the whole
-    /// candidate batch is proposed first, then evaluated through this pool.
-    /// Serial by default; any width produces bit-identical results because
-    /// the move selection runs over the same values in the same order.
+    /// candidate batch is proposed first, then the move is selected best
+    /// leaf bound first through this pool (see [`BatchEvaluator`]), one
+    /// evaluation at a time, skipping candidates whose bound proves they
+    /// cannot be chosen. The width parallelizes the greedy start's
+    /// singleton batch and any candidates the problem offers no bound for.
+    /// Serial by default; any width produces bit-identical results and
+    /// evaluation counts, because the selection returns the move a full
+    /// scan would.
     pub batch: BatchEvaluator,
 }
 
@@ -172,34 +177,26 @@ impl Solver for TabuSearch {
                     trajectory.push(best_obj);
                     break;
                 }
-                // Propose the whole neighborhood first, evaluate it as one
-                // batch, then pick the best non-tabu move; a tabu move
-                // passes only via aspiration (it would improve on the
-                // global best). The selection loop sees the same values in
-                // the same order as a move-by-move evaluation would, so any
-                // batch width picks the same move.
-                let nexts: Vec<Subset> = moves.iter().map(|mv| mv.applied_to(&current)).collect();
-                let objs = self.batch.evaluate(counted, &nexts);
-                let mut chosen: Option<(Move, usize, f64)> = None;
-                for (k, (&mv, &obj)) in moves.iter().zip(&objs).enumerate() {
-                    let (a, b) = mv.touched();
+                // Propose the whole neighborhood first, then pick the best
+                // non-tabu move; a tabu move passes only via aspiration (it
+                // would improve on the global best), so its bar is
+                // `best_obj`. Selection returns the move a scan over every
+                // value in candidate order would, so any batch width, and
+                // any pruning the bounds allow, picks the same move.
+                let mut nexts: Vec<Subset> =
+                    moves.iter().map(|mv| mv.applied_to(&current)).collect();
+                let chosen = self.batch.select(counted, &nexts, |k| {
+                    let (a, b) = moves[k].touched();
                     let tabu = tabu_until[a] > iter || b.is_some_and(|b| tabu_until[b] > iter);
-                    let aspired = obj > best_obj;
-                    if tabu && !aspired {
-                        continue;
-                    }
-                    if chosen.as_ref().is_none_or(|(_, _, cur)| obj > *cur) {
-                        chosen = Some((mv, k, obj));
-                    }
-                }
-                let chosen = chosen.map(|(mv, k, obj)| (mv, nexts[k].clone(), obj));
-                if let Some((mv, next, obj)) = chosen {
-                    let (a, b) = mv.touched();
+                    tabu.then_some(best_obj)
+                });
+                if let Some((k, obj)) = chosen {
+                    let (a, b) = moves[k].touched();
                     tabu_until[a] = iter + 1 + self.tenure;
                     if let Some(b) = b {
                         tabu_until[b] = iter + 1 + self.tenure;
                     }
-                    current = next;
+                    current = nexts.swap_remove(k);
                     current_obj = obj;
                     if current_obj > best_obj {
                         best_obj = current_obj;

@@ -77,6 +77,58 @@ impl SubsetProblem for RandomQuadratic {
     }
 }
 
+/// Hides a problem's bounds: `component_bound` keeps the trait's `None`,
+/// so greedy and tabu evaluate every candidate — the full-scan reference
+/// their bound-pruned selection must reproduce.
+struct Unbounded<'a>(&'a dyn SubsetProblem);
+
+impl SubsetProblem for Unbounded<'_> {
+    fn universe_size(&self) -> usize {
+        self.0.universe_size()
+    }
+
+    fn max_selected(&self) -> usize {
+        self.0.max_selected()
+    }
+
+    fn pinned(&self) -> &[usize] {
+        self.0.pinned()
+    }
+
+    fn evaluate(&self, subset: &Subset) -> f64 {
+        self.0.evaluate(subset)
+    }
+}
+
+/// `RandomQuadratic` rounded to halves, so candidates often tie, with a
+/// leaf bound of its exact value plus 0–3 thousandths keyed by the subset:
+/// many bounds are exact, and tied candidates rank in varied bound order.
+/// Greedy and tabu only ask for leaf bounds, so other nodes get `None`.
+struct Coarse<'a>(&'a RandomQuadratic);
+
+impl SubsetProblem for Coarse<'_> {
+    fn universe_size(&self) -> usize {
+        self.0.universe_size()
+    }
+
+    fn max_selected(&self) -> usize {
+        self.0.max_selected()
+    }
+
+    fn pinned(&self) -> &[usize] {
+        self.0.pinned()
+    }
+
+    fn evaluate(&self, subset: &Subset) -> f64 {
+        (self.0.evaluate(subset) * 2.0).round() / 2.0
+    }
+
+    fn component_bound(&self, decided_in: &Subset, decided_out: &Subset) -> Option<f64> {
+        let leaf = decided_in.len() + decided_out.len() == self.universe_size();
+        leaf.then(|| self.evaluate(decided_in) + (decided_in.fingerprint() % 4) as f64 * 1e-3)
+    }
+}
+
 fn arb_problem() -> impl Strategy<Value = RandomQuadratic> {
     arb_quadratic(3usize..10, 1usize..5)
 }
@@ -269,6 +321,49 @@ proptest! {
         // Greedy is a member, so the portfolio at least matches greedy.
         let greedy = Greedy::default().solve(&problem, 0);
         prop_assert!(a.result.objective >= greedy.objective - 1e-9);
+    }
+}
+
+proptest! {
+    // More cases than the solver suite: a wrong prune shows only where
+    // the bounds and a tie line up.
+    #![proptest_config(ProptestConfig::with_cases(96))]
+
+    #[test]
+    fn bound_pruned_selection_matches_the_full_scan(
+        problem in arb_problem(),
+        seed in 0u64..50,
+        threads in 2usize..5,
+    ) {
+        // Width 1 and a threaded width (min_batch 2 sends even these tiny
+        // batches — the full scan's and tabu's singleton start — through
+        // the threads), on the problem's own loose bound and on the
+        // tie-heavy, tightly bounded `Coarse`: the pruned solve must equal
+        // the unbounded full scan in everything but effort.
+        let coarse = Coarse(&problem);
+        let problems: [&dyn SubsetProblem; 2] = [&problem, &coarse];
+        for (p, width) in problems.into_iter().flat_map(|p| [(p, 1), (p, threads)]) {
+            let batch = BatchEvaluator { threads: width, min_batch: 2 };
+            let solvers: Vec<Box<dyn Solver>> = vec![
+                Box::new(Greedy { batch }),
+                Box::new(TabuSearch { batch, ..TabuSearch::quick() }),
+            ];
+            for solver in solvers {
+                let pruned = solver.solve(p, seed);
+                let full = solver.solve(&Unbounded(p), seed);
+                prop_assert_eq!(&pruned.best, &full.best, "{} at width {}", solver.name(), width);
+                prop_assert_eq!(pruned.objective.to_bits(), full.objective.to_bits());
+                prop_assert_eq!(&pruned.trajectory, &full.trajectory);
+                prop_assert_eq!(pruned.iterations, full.iterations);
+                prop_assert!(
+                    pruned.evaluations <= full.evaluations,
+                    "{} evaluated more with bounds: {} > {}",
+                    solver.name(),
+                    pruned.evaluations,
+                    full.evaluations
+                );
+            }
+        }
     }
 }
 

@@ -74,7 +74,6 @@ const ENTROPY_EXEMPT: &[&str] = &["crates/bench/", "crates/xtask/"];
 pub const LOCK_REGISTRY: &[&str] = &[
     "crates/core/src/arena.rs",
     "crates/core/src/objective.rs",
-    "crates/opt/src/portfolio.rs",
     "crates/serve/src/host.rs",
 ];
 

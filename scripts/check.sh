@@ -44,6 +44,10 @@ echo "==> tenancy smoke contracts (concurrent sessions bit-identical to serial"
 echo "    replay, arena counts session-local — asserted in-bin)"
 grep -q '"replay_bit_identical": true' target/BENCH_tenancy.smoke.json
 
+echo "==> bound-pruned solve smoke contract (greedy and tabu select what the full"
+echo "    scan over the bound-hidden objective selects, same quality bits — asserted in-bin)"
+grep -q '"pruned_identical": true' target/BENCH_solve.smoke.json
+
 echo "==> mubed serving smoke (4 concurrent sessions under a cancel storm,"
 echo "    every history bit-identical to its serial cancel-free replay)"
 cargo run --release -q --bin mubed -- --smoke
@@ -67,5 +71,8 @@ grep -q '"meets_thresholds": true' BENCH_scale.json
 
 echo "==> committed tenancy trajectory certifies concurrent/serial bit-identity"
 grep -q '"replay_bit_identical": true' BENCH_tenancy.json
+
+echo "==> committed solve trajectory certifies bound-pruned == full-scan solves"
+grep -q '"pruned_identical": true' BENCH_solve.json
 
 echo "All checks passed."
