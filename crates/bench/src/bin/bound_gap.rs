@@ -44,7 +44,7 @@ fn portfolio() -> Portfolio {
                 max_steps: 40,
                 ..StochasticLocalSearch::default()
             }),
-            Arc::new(Greedy::default()),
+            Arc::new(Greedy),
         ],
         rounds: 2,
         cross_seed: true,

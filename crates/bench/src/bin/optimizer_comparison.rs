@@ -36,7 +36,7 @@ fn main() {
         Box::new(SimulatedAnnealing::default()),
         Box::new(BinaryPso::default()),
         Box::new(StochasticLocalSearch::default()),
-        Box::new(Greedy::default()),
+        Box::new(Greedy),
         Box::new(RandomSearch::default()),
     ];
 

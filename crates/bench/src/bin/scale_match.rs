@@ -93,7 +93,7 @@ fn class_representatives(universe: &Universe, sim: &dyn AttrSimilarity) -> Vec<A
 /// fresh arena, so each rep is a cold solve.
 fn solve_pair(reference: &Mube, candidate: &Mube, label: &str, reps: u32) -> (f64, f64, f64) {
     let spec = scale_spec();
-    let solver = Greedy::default();
+    let solver = Greedy;
     let solve = |engine: &Mube| {
         best_of(1, || {
             engine
@@ -326,7 +326,7 @@ fn bench_scale(sources: usize, budget_bytes: u64, max_buffered_triples: usize) -
     let spec = scale_spec();
     let (solve_millis, solution) = best_of(1, || {
         engine
-            .solve(&spec, &Greedy::default(), 0)
+            .solve(&spec, &Greedy, 0)
             .expect("bench problems are feasible")
     });
 

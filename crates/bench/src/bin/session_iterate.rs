@@ -120,7 +120,7 @@ fn run_session(
     arena_enabled: bool,
 ) -> (Vec<(f64, Solution)>, usize) {
     let mut session = Session::new(mube, paper_spec(10))
-        .with_solver(Box::new(Greedy::default()))
+        .with_solver(Box::new(Greedy))
         .with_seed(seed)
         .with_arena(arena_enabled);
     let mut out = Vec::new();

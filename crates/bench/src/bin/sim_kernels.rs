@@ -1,7 +1,7 @@
 //! Packed-kernel microbenches: regenerates `BENCH_kernels.json`.
 //!
-//! Times the four word-level kernels this PR introduced against their
-//! scalar/string reference paths, asserting exact agreement in every mode:
+//! Times the three word-level kernels against their scalar/string
+//! reference paths, asserting exact agreement in every mode:
 //!
 //! * **pairwise Jaccard** — per-pair string tokenization (pad, hash, merge
 //!   per call) vs. the [`GramIndex`] packed-bitmap kernel, all pairs over
@@ -13,7 +13,6 @@
 //! * **selection ops** — id-iteration set algebra (`iter`/`contains`
 //!   loops, `from_ids` rebuilds) vs. the word-level
 //!   `intersect_count`/`is_subset_of`/`union_with`/`from_words` kernels.
-//! * **HLL merge** — the pre-PR byte-at-a-time register max vs. the blocked 64-wide merge.
 //!
 //! A full run additionally asserts the acceptance thresholds (≥ 3x pairwise,
 //! ≥ 2x matrix fill) and stamps `"meets_thresholds": true` into the JSON;
@@ -28,7 +27,6 @@ use std::fmt::Write as _;
 use std::time::{Duration, Instant};
 
 use mube_bench::{universe, Scale};
-use mube_pcsa::HllSketch;
 use mube_schema::{attribute::normalize_name, SourceId, SourceSelection};
 use mube_similarity::{GramIndex, GramKind, NgramJaccard, SimilarityMatrix, SimilarityMeasure};
 use rand::rngs::StdRng;
@@ -130,8 +128,9 @@ struct MatrixFill {
 /// The pre-PR `SimilarityMatrix` fill, ported faithfully: one signature per
 /// distinct name, then a serial packed-triangle fill where every pair runs
 /// the sorted-hash-merge `similarity_sig`. (The pre-PR parallel band split
-/// is irrelevant here: it engages only with ≥ 2 workers, and the gains under
-/// test are per-pair kernel wins, not thread wins.)
+/// is left out: the gains under test are per-pair kernel wins, not thread
+/// wins, and the current fill is serial at this arm's name count too, below
+/// `SimilarityMatrix`'s thread cutoff.)
 fn pre_pr_fill(names: &[String], measure: &dyn SimilarityMeasure) -> Vec<f32> {
     let signatures: Vec<_> = names.iter().map(|n| measure.signature(n)).collect();
     let d = names.len();
@@ -240,57 +239,6 @@ fn bench_selections(universe_size: usize, count: usize, reps: u32) -> SelectionO
     }
 }
 
-// ---- HLL merge ----------------------------------------------------------
-
-struct HllMerge {
-    precision: u32,
-    iters: u32,
-    scalar_millis: f64,
-    blocked_millis: f64,
-    speedup: f64,
-}
-
-fn bench_hll(precision: u32, iters: u32, reps: u32) -> HllMerge {
-    let mut a = HllSketch::new(precision, Default::default());
-    let mut b = HllSketch::new(precision, Default::default());
-    for t in 0..20_000u64 {
-        a.insert_u64(t);
-        b.insert_u64(t + 10_000);
-    }
-    // Merging is an idempotent in-place max, so re-merging `b` into an
-    // accumulator does the full register pass every iteration while the
-    // result stays fixed — no per-iteration clone polluting the timing.
-    let (scalar_millis, scalar_regs) = best_of(reps, || {
-        let mut acc: Vec<u8> = a.registers().to_vec();
-        let theirs = b.registers();
-        for _ in 0..iters {
-            for (x, y) in acc.iter_mut().zip(theirs) {
-                *x = (*x).max(*y);
-            }
-        }
-        acc
-    });
-    let (blocked_millis, blocked_sketch) = best_of(reps, || {
-        let mut acc = a.clone();
-        for _ in 0..iters {
-            acc.merge(&b);
-        }
-        acc
-    });
-    assert_eq!(
-        scalar_regs.as_slice(),
-        blocked_sketch.registers(),
-        "blocked merge diverged from the scalar register max"
-    );
-    HllMerge {
-        precision,
-        iters,
-        scalar_millis,
-        blocked_millis,
-        speedup: scalar_millis / blocked_millis.max(1e-9),
-    }
-}
-
 fn main() {
     let args: Vec<String> = std::env::args().collect();
     let smoke = args.iter().any(|a| a == "--smoke");
@@ -302,10 +250,10 @@ fn main() {
         .unwrap_or_else(|| "BENCH_kernels.json".to_owned());
     // 400 sources is the acceptance scale; the name cap bounds the
     // quadratic arms (the universe's distinct-name pool is smaller anyway).
-    let (sources, name_cap, sel_count, hll_iters, reps) = if smoke {
-        (40, 60, 64, 50, 1)
+    let (sources, name_cap, sel_count, reps) = if smoke {
+        (40, 60, 64, 1)
     } else {
-        (400, 400, 512, 2_000, 9)
+        (400, 400, 512, 9)
     };
 
     let names = distinct_names(sources, name_cap);
@@ -331,11 +279,6 @@ fn main() {
         "  selection ops: scalar {:.3} ms, packed {:.3} ms ({:.2}x)",
         selections.scalar_millis, selections.packed_millis, selections.speedup
     );
-    let hll = bench_hll(11, hll_iters, reps);
-    eprintln!(
-        "  hll merge: scalar {:.2} ms, blocked {:.2} ms ({:.2}x)",
-        hll.scalar_millis, hll.blocked_millis, hll.speedup
-    );
 
     let mut json = String::new();
     let _ = write!(
@@ -347,9 +290,7 @@ fn main() {
          \"matrix_fill\": {{\"distinct\": {}, \"pre_pr_millis\": {:.3}, \
          \"packed_millis\": {:.3}, \"speedup\": {:.3}, \"bit_identical\": true}},\n  \
          \"selection_ops\": {{\"universe\": {}, \"selections\": {}, \"scalar_millis\": {:.3}, \
-         \"packed_millis\": {:.3}, \"speedup\": {:.3}, \"results_equal\": true}},\n  \
-         \"hll_merge\": {{\"precision\": {}, \"iters\": {}, \"scalar_millis\": {:.3}, \
-         \"blocked_millis\": {:.3}, \"speedup\": {:.3}, \"registers_equal\": true}}",
+         \"packed_millis\": {:.3}, \"speedup\": {:.3}, \"results_equal\": true}}",
         if smoke { "smoke" } else { "full" },
         reps,
         names.len(),
@@ -366,11 +307,6 @@ fn main() {
         selections.scalar_millis,
         selections.packed_millis,
         selections.speedup,
-        hll.precision,
-        hll.iters,
-        hll.scalar_millis,
-        hll.blocked_millis,
-        hll.speedup,
     );
     if smoke {
         json.push_str("\n}\n");
@@ -395,7 +331,6 @@ fn main() {
         "pairwise_jaccard",
         "matrix_fill",
         "selection_ops",
-        "hll_merge",
         "bit_identical",
         "speedup",
     ] {

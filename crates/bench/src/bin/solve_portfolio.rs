@@ -1,15 +1,11 @@
 //! Perf trajectory for the parallel solve stack: regenerates
 //! `BENCH_solve.json`.
 //!
-//! Four arms per universe size, all solving the paper's default problem:
+//! Three arms per universe size, all solving the paper's default problem:
 //!
-//! * `serial` — tabu search with the serial (width-1) evaluator; run twice
-//!   with the same seed and asserted byte-identical (selection, quality,
-//!   evaluation count), the determinism contract everything else rests on.
-//! * `batched` — the same tabu configuration with an auto-width
-//!   [`BatchEvaluator`]; bit-identical to `serial` by construction, so the
-//!   arm asserts that too. On a single-core host the width resolves to 1
-//!   and the arm measures pure overhead (check `host_parallelism`).
+//! * `serial` — tabu search on the calling thread; run twice with the same
+//!   seed and asserted byte-identical (selection, quality, evaluation
+//!   count), the determinism contract everything else rests on.
 //! * `multistart` — the portfolio members run *sequentially, each against a
 //!   fresh objective* (cold caches): what racing the same solvers without
 //!   the shared evaluation pool costs. This is the honest baseline for the
@@ -30,9 +26,8 @@
 //! both, and stamps `"pruned_identical": true`.
 //!
 //! `speedup_portfolio` is multistart-vs-portfolio wall clock (shared-cache
-//! savings are real on any core count); `speedup_batched` is
-//! serial-vs-batched and only exceeds ~1.0 on multi-core hosts. See
-//! DESIGN.md §9 for how to read the file.
+//! savings are real on any core count). See DESIGN.md §9 for how to read
+//! the file.
 //!
 //! Usage:
 //!   cargo run --release -p mube-bench --bin solve_portfolio
@@ -45,8 +40,7 @@ use std::time::Instant;
 use mube_bench::{engine, paper_spec, universe, Scale};
 use mube_core::{Mube, ProblemSpec, Solution};
 use mube_opt::{
-    BatchEvaluator, Greedy, Portfolio, Solver, StochasticLocalSearch, Subset, SubsetProblem,
-    TabuSearch,
+    Greedy, Portfolio, Solver, StochasticLocalSearch, Subset, SubsetProblem, TabuSearch,
 };
 use mube_schema::SourceId;
 
@@ -61,7 +55,7 @@ fn members() -> Vec<Arc<dyn Solver>> {
             max_steps: 40,
             ..StochasticLocalSearch::default()
         }),
-        Arc::new(Greedy::default()),
+        Arc::new(Greedy),
     ]
 }
 
@@ -171,14 +165,13 @@ fn hit_rate(cache_hits: u64, evaluations: u64) -> f64 {
 fn arm_json(millis: f64, s: &Solution) -> String {
     format!(
         "{{\"millis\": {:.3}, \"evaluations\": {}, \"match_calls\": {}, \"cache_hits\": {}, \
-         \"hit_rate\": {:.4}, \"evictions\": {}, \"batch_width\": {}, \"quality\": {:.6}}}",
+         \"hit_rate\": {:.4}, \"evictions\": {}, \"quality\": {:.6}}}",
         millis,
         s.stats.evaluations,
         s.stats.match_calls,
         s.stats.cache_hits,
         hit_rate(s.stats.cache_hits, s.stats.evaluations),
         s.stats.evictions,
-        s.stats.batch_width,
         s.overall_quality,
     )
 }
@@ -203,23 +196,6 @@ fn bench_size(size: usize, reps: u32, out: &mut String) {
         assert_eq!(serial.stats.evaluations, again.stats.evaluations);
         serial_ms = serial_ms.min(ms);
     }
-
-    // Batched arm: identical values, possibly better wall clock.
-    let batched_solver = TabuSearch {
-        batch: BatchEvaluator::parallel(),
-        ..TabuSearch::quick()
-    };
-    let (mut batched_ms, batched) = timed_solve(&mube, &spec, &batched_solver, seed);
-    for _ in 1..reps {
-        let (ms, _) = timed_solve(&mube, &spec, &batched_solver, seed);
-        batched_ms = batched_ms.min(ms);
-    }
-    assert_eq!(
-        serial.selected, batched.selected,
-        "batched diverged from serial"
-    );
-    assert_eq!(serial.overall_quality, batched.overall_quality);
-    assert_eq!(serial.stats.evaluations, batched.stats.evaluations);
 
     // Multistart baseline: every member, every round, cold caches, serially.
     let multistart_start = Instant::now();
@@ -261,18 +237,16 @@ fn bench_size(size: usize, reps: u32, out: &mut String) {
 
     // Pruned arm: best-leaf-bound-first greedy and tabu vs the full scan.
     let pruned: Vec<String> = [
-        Box::new(Greedy::default()) as Box<dyn Solver>,
+        Box::new(Greedy) as Box<dyn Solver>,
         Box::new(TabuSearch::quick()),
     ]
     .iter()
     .map(|solver| pruned_arm(&mube, &spec, solver.as_ref(), seed, reps))
     .collect();
 
-    let speedup_batched = serial_ms / batched_ms.max(1e-9);
     let speedup_portfolio = multistart_ms / portfolio_ms.max(1e-9);
     eprintln!(
-        "  serial {serial_ms:.1} ms | batched {batched_ms:.1} ms ({speedup_batched:.2}x) | \
-         multistart {multistart_ms:.1} ms | portfolio {portfolio_ms:.1} ms \
+        "  serial {serial_ms:.1} ms | multistart {multistart_ms:.1} ms | portfolio {portfolio_ms:.1} ms \
          ({speedup_portfolio:.2}x, winner {}, hit rate {:.0}%)",
         best.stats.portfolio_member.unwrap_or("-"),
         100.0 * hit_rate(best.stats.cache_hits, best.stats.evaluations),
@@ -290,17 +264,16 @@ fn bench_size(size: usize, reps: u32, out: &mut String) {
     let _ = write!(
         out,
         "    {{\"sources\": {}, \"attrs\": {}, \
-         \"serial\": {}, \"batched\": {}, \
+         \"serial\": {}, \
          \"multistart\": {{\"millis\": {:.3}, \"evaluations\": {}, \"match_calls\": {}, \
          \"best_quality\": {:.6}}}, \
          \"portfolio\": {{\"millis\": {:.3}, \"winner\": \"{}\", \"arm\": {}, \
          \"members\": [{}]}}, \
          \"pruned\": {{{}, \"pruned_identical\": true}}, \
-         \"speedup_batched\": {:.3}, \"speedup_portfolio\": {:.3}}}",
+         \"speedup_portfolio\": {:.3}}}",
         size,
         generated.universe.total_attrs(),
         arm_json(serial_ms, &serial),
-        arm_json(batched_ms, &batched),
         multistart_ms,
         multi_evals,
         multi_match_calls,
@@ -310,7 +283,6 @@ fn bench_size(size: usize, reps: u32, out: &mut String) {
         arm_json(portfolio_ms, &best),
         member_body.join(", "),
         pruned.join(", "),
-        speedup_batched,
         speedup_portfolio,
     );
 }
@@ -343,8 +315,8 @@ fn main() {
     let json = format!(
         "{{\n  \"bench\": \"solve_portfolio\",\n  \"mode\": \"{}\",\n  \"scale\": \"reduced\",\n  \
          \"host_parallelism\": {},\n  \"rounds\": {},\n  \
-         \"units\": {{\"millis\": \"best-of-reps wall clock (serial/batched/pruned); single-run (multistart/portfolio)\"}},\n  \
-         \"note\": \"speedup_batched needs host_parallelism > 1; speedup_portfolio measures the shared Q(S) cache vs cold multistart on any host\",\n  \
+         \"units\": {{\"millis\": \"best-of-reps wall clock (serial/pruned); single-run (multistart/portfolio)\"}},\n  \
+         \"note\": \"speedup_portfolio measures the shared Q(S) cache vs cold multistart on any host\",\n  \
          \"sizes\": [\n{}\n  ]\n}}\n",
         if smoke { "smoke" } else { "full" },
         host_parallelism,
@@ -355,7 +327,6 @@ fn main() {
     // Cheap schema-rot guard: the artifact must contain every key a reader
     // of the perf trajectory greps for.
     for key in [
-        "speedup_batched",
         "speedup_portfolio",
         "hit_rate",
         "winner",

@@ -55,10 +55,10 @@ use mube_opt::Subset;
 
 use crate::problem::ProblemSpec;
 
-/// Memo shards. Sixteen is plenty: the batched solvers run at most a few
-/// dozen worker threads, and the shard index comes from high fingerprint
-/// bits, so concurrent evaluations of a sampled neighborhood spread across
-/// shards almost uniformly.
+/// Memo shards. Sixteen is plenty: a portfolio runs one thread per member,
+/// a session host one per session, and the shard index comes from high
+/// fingerprint bits, so concurrent evaluations spread across shards almost
+/// uniformly.
 pub(crate) const SHARDS: usize = 16;
 
 /// Default total entry budget. An entry is one subset plus a K-element
@@ -225,10 +225,9 @@ struct ArenaShard {
 /// iterations. See the module docs for the invalidation model.
 ///
 /// All interior state is `Sync`: shards sit behind [`RwLock`]s, stamps and
-/// counters are atomic, so a [`mube_opt::BatchEvaluator`] pool or a
-/// [`mube_opt::Portfolio`]'s member threads can evaluate concurrently
-/// against one arena and share each other's memoized `Match(S)` work —
-/// within a solve *and* across a session's iterations.
+/// counters are atomic, so a [`mube_opt::Portfolio`]'s member threads can
+/// evaluate concurrently against one arena and share each other's memoized
+/// `Match(S)` work — within a solve *and* across a session's iterations.
 pub struct EvalArena {
     shards: [RwLock<ArenaShard>; SHARDS],
     /// Advances once per [`EvalArena::prepare`]; entries are stamped with

@@ -311,7 +311,6 @@ impl Mube {
                     invalidated: objective.invalidated(),
                     spec_delta: objective.spec_delta(),
                     portfolio_member: result.winner,
-                    batch_width: result.batch_width,
                     // Cold unless the caller (Session) primed a warm-start
                     // solver; it overwrites this field after the solve.
                     warm_start: false,
@@ -369,7 +368,7 @@ impl Mube {
     /// Arena values are bit-identical to cold evaluations, so for a fixed
     /// seed a session arena changes only how much is recomputed, never the
     /// solution. An armed `cancel` token is polled at the solver's round /
-    /// node / batch boundaries: a cancellation stops the search with its
+    /// generation / node boundaries: a cancellation stops the search with its
     /// best incumbent (flagged via [`SolveStats::cancelled`] and audited
     /// like any other solution), or [`MubeError::Cancelled`] when no
     /// feasible candidate had been seen yet. A token that never fires

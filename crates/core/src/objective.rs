@@ -83,9 +83,9 @@ enum Probe {
 ///
 /// The objective is `Sync` and all interior state is thread-safe: the memo
 /// arena is sharded behind `RwLock`s and the counters are atomic, so a
-/// [`mube_opt::BatchEvaluator`] pool or a [`mube_opt::Portfolio`]'s member
-/// threads can evaluate concurrently against *one* objective and share each
-/// other's memoized `Match(S)` work.
+/// [`mube_opt::Portfolio`]'s member threads can evaluate concurrently
+/// against *one* objective and share each other's memoized `Match(S)`
+/// work.
 ///
 /// # Cached-entry validity across feedback edits
 ///
@@ -434,7 +434,7 @@ impl MubeObjective {
     ///   non-matching cap is that binding's exact value on `S`. The bound
     ///   then exceeds `Q(S)` by exactly `w_matching · (1 − F1(S))` plus
     ///   [`BOUND_SLACK`] — what lets greedy and tabu skip a candidate's
-    ///   `Match(S)` (see `mube_opt::BatchEvaluator::select`).
+    ///   `Match(S)` (see DESIGN.md §9, best-first selection).
     /// * **Registered QEFs** — a [`Qef::monotone`] function evaluated on
     ///   the *possible* set (decided-in plus free) dominates every
     ///   completion; a [`Qef::modular`] decomposition additionally packs

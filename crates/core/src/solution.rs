@@ -69,9 +69,6 @@ pub struct SolveStats {
     /// For portfolio solves, the name of the member solver that produced
     /// the solution; `None` for single-solver runs.
     pub portfolio_member: Option<&'static str>,
-    /// Parallel evaluation width: the resolved batch-evaluator width of the
-    /// solver (1 = serial), or the member count for a portfolio solve.
-    pub batch_width: usize,
     /// Wall-clock time of the solve.
     pub elapsed: Duration,
 }

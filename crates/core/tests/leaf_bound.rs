@@ -105,8 +105,7 @@ fn pruned_solves_match_the_full_scan_with_fewer_match_calls() {
     ];
     for (size, universe_seed, spec) in cases {
         let mube = engine(size, universe_seed);
-        let solvers: [Box<dyn Solver>; 2] =
-            [Box::new(Greedy::default()), Box::new(TabuSearch::quick())];
+        let solvers: [Box<dyn Solver>; 2] = [Box::new(Greedy), Box::new(TabuSearch::quick())];
         for solver in solvers {
             let name = solver.name();
             let pruned = mube.solve(&spec, solver.as_ref(), 11).expect("solvable");

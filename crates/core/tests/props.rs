@@ -101,7 +101,7 @@ proptest! {
         prop_assert_eq!(routed.similarity().backend_kind(), SimBackendKind::Sparse);
 
         let spec = ProblemSpec::new(m).with_theta(theta);
-        let solver = Greedy::default();
+        let solver = Greedy;
         let a = dense.solve(&spec, &solver, 0).unwrap();
         let b = routed.solve(&spec, &solver, 0).unwrap();
         prop_assert_eq!(a.selected, b.selected);

@@ -324,7 +324,6 @@ impl Solver for BranchAndBound {
             iterations: nodes_expanded,
             trajectory,
             winner: None,
-            batch_width: 1,
             gap: Some(gap),
             nodes_expanded,
             nodes_pruned,

@@ -3,11 +3,11 @@
 //! A [`CancelToken`] is a shared epoch counter: cloning it hands out another
 //! handle to the *same* counter, [`CancelToken::cancel`] bumps the epoch,
 //! and a solve that captured the epoch at its start observes the bump at
-//! its next check point. Solvers poll the token only at round / node /
-//! batch boundaries, and a check that does not fire changes *nothing* about
-//! the search trajectory — cancellation can never perturb the result of a
-//! run that completes. A fired check makes the solver stop where it is and
-//! return its best incumbent, flagged via
+//! its next check point. Solvers poll the token only at round /
+//! generation / node boundaries, and a check that does not fire changes
+//! *nothing* about the search trajectory — cancellation can never perturb
+//! the result of a run that completes. A fired check makes the solver stop
+//! where it is and return its best incumbent, flagged via
 //! [`SolveResult::cancelled`](crate::SolveResult::cancelled).
 //!
 //! The epoch design (rather than a latched `AtomicBool`) lets one token be

@@ -5,21 +5,16 @@
 //! helps. Fast and deterministic, but blind to interactions — the
 //! optimizer-comparison experiment uses it as the floor.
 
-use crate::batch::BatchEvaluator;
 use crate::problem::SubsetProblem;
-use crate::solver::{run_counted, SolveResult, Solver};
+use crate::solver::{run_counted, select_best, SolveResult, Solver};
 use crate::subset::Subset;
 
-/// Greedy forward selection. Stateless apart from the evaluation pool.
+/// Greedy forward selection. Stateless: each round evaluates its
+/// add-candidates best leaf bound first and skips the ones the bounds rule
+/// out, picking exactly what a full scan would (ties go to the lowest item
+/// index).
 #[derive(Debug, Clone, Copy, Default)]
-pub struct Greedy {
-    /// Evaluation pool for each round's add-candidates (serial by default).
-    /// Rounds evaluate best leaf bound first, one candidate at a time (see
-    /// [`BatchEvaluator`]), so the width only parallelizes candidates the
-    /// problem offers no bound for. Any width is bit-identical — ties still
-    /// go to the lowest item index — and spends the same evaluations.
-    pub batch: BatchEvaluator,
-}
+pub struct Greedy;
 
 impl Solver for Greedy {
     fn solve(&self, problem: &dyn SubsetProblem, _seed: u64) -> SolveResult {
@@ -50,7 +45,7 @@ impl Solver for Greedy {
                     })
                     .collect();
                 let bar = current_obj.is_finite().then_some(current_obj);
-                match self.batch.select(counted, &candidates, |_| bar) {
+                match select_best(counted, &candidates, |_| bar) {
                     Some((k, obj)) => {
                         current = candidates.swap_remove(k);
                         current_obj = obj;
@@ -61,7 +56,6 @@ impl Solver for Greedy {
             }
             (current, current_obj, iters, trajectory)
         });
-        result.batch_width = self.batch.width();
         result.cancelled = was_cancelled;
         result
     }
@@ -80,7 +74,7 @@ mod tests {
     fn exact_on_modular_objective() {
         let values: Vec<f64> = vec![3.0, 1.0, 4.0, 1.0, 5.0, 9.0, 2.0, 6.0];
         let p = TopValues::new(values, 3, vec![]);
-        let r = Greedy::default().solve(&p, 0);
+        let r = Greedy.solve(&p, 0);
         assert_eq!(r.objective, p.optimum());
         assert!(r.best.contains(5) && r.best.contains(7) && r.best.contains(4));
     }
@@ -88,7 +82,7 @@ mod tests {
     #[test]
     fn keeps_pins_even_when_worthless() {
         let p = TopValues::new(vec![9.0, 0.0, 8.0], 2, vec![1]);
-        let r = Greedy::default().solve(&p, 0);
+        let r = Greedy.solve(&p, 0);
         assert!(r.best.contains(1));
         assert_eq!(r.objective, 9.0);
     }
@@ -97,7 +91,7 @@ mod tests {
     fn stops_when_no_addition_helps() {
         // All values zero: greedy adds nothing beyond pins.
         let p = TopValues::new(vec![0.0; 6], 4, vec![2]);
-        let r = Greedy::default().solve(&p, 0);
+        let r = Greedy.solve(&p, 0);
         assert_eq!(r.best.iter().collect::<Vec<_>>(), vec![2]);
     }
 
@@ -110,7 +104,7 @@ mod tests {
         // The genuinely adversarial case for greedy is ties broken badly;
         // just assert greedy is never *infeasible* and within the optimum.
         let p = PairBonus::new(8, 3);
-        let r = Greedy::default().solve(&p, 0);
+        let r = Greedy.solve(&p, 0);
         assert!(r.objective <= 4.0 + 1e-9);
         assert!(r.best.len() <= 3);
     }
@@ -118,24 +112,8 @@ mod tests {
     #[test]
     fn evaluation_count_is_quadratic_bounded() {
         let p = TopValues::new(vec![1.0; 20], 5, vec![]);
-        let r = Greedy::default().solve(&p, 0);
+        let r = Greedy.solve(&p, 0);
         // 1 initial + at most m rounds × n candidates.
         assert!(r.evaluations <= 1 + 5 * 20);
-    }
-
-    #[test]
-    fn batched_evaluation_is_bit_identical() {
-        let values: Vec<f64> = (0..40).map(|i| f64::from((i * 11) % 17)).collect();
-        let p = TopValues::new(values, 7, vec![3]);
-        let serial = Greedy::default().solve(&p, 0);
-        let batched = Greedy {
-            batch: BatchEvaluator::with_threads(4),
-        }
-        .solve(&p, 0);
-        assert_eq!(serial.best, batched.best);
-        assert_eq!(serial.objective, batched.objective);
-        assert_eq!(serial.trajectory, batched.trajectory);
-        assert_eq!(serial.evaluations, batched.evaluations);
-        assert_eq!(batched.batch_width, 4);
     }
 }

@@ -23,7 +23,6 @@
 #![deny(missing_docs)]
 
 pub mod anneal;
-pub mod batch;
 pub mod bnb;
 pub mod cancel;
 pub mod exhaustive;
@@ -40,7 +39,6 @@ pub mod subset;
 pub mod tabu;
 
 pub use anneal::SimulatedAnnealing;
-pub use batch::BatchEvaluator;
 pub use bnb::BranchAndBound;
 pub use cancel::CancelToken;
 pub use exhaustive::Exhaustive;

@@ -46,9 +46,8 @@ pub struct PortfolioMember {
 #[derive(Debug, Clone, PartialEq)]
 pub struct PortfolioOutcome {
     /// The winning member's result, with [`SolveResult::winner`] set to the
-    /// member's name, [`SolveResult::evaluations`] summed over *all*
-    /// members (total search effort), and [`SolveResult::batch_width`] set
-    /// to the member count.
+    /// member's name and [`SolveResult::evaluations`] summed over *all*
+    /// members (total search effort).
     pub result: SolveResult,
     /// One entry per member, in configuration order.
     pub members: Vec<PortfolioMember>,
@@ -217,7 +216,6 @@ impl Portfolio {
             Some((idx, round)) => SolveResult {
                 evaluations: total_evals,
                 winner: Some(self.members[idx].name()),
-                batch_width: self.members.len(),
                 cancelled: any_cancelled,
                 ..results[idx][round].clone()
             },
@@ -228,7 +226,6 @@ impl Portfolio {
                 iterations: 0,
                 trajectory: Vec::new(),
                 winner: None,
-                batch_width: self.members.len(),
                 gap: None,
                 nodes_expanded: 0,
                 nodes_pruned: 0,
@@ -284,7 +281,6 @@ mod tests {
         assert_eq!(outcome.members.iter().filter(|m| m.won).count(), 1);
         let won = outcome.members.iter().find(|m| m.won).expect("one winner");
         assert_eq!(outcome.result.winner, Some(won.name));
-        assert_eq!(outcome.result.batch_width, 3);
         // Total effort is the sum of member effort.
         assert_eq!(
             outcome.result.evaluations,
@@ -350,7 +346,6 @@ mod tests {
                 iterations: 1,
                 trajectory: Vec::new(),
                 winner: None,
-                batch_width: 1,
                 gap: None,
                 nodes_expanded: 0,
                 nodes_pruned: 0,

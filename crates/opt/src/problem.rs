@@ -17,12 +17,12 @@ use crate::subset::Subset;
 ///   GA-constraint subsumption); solvers treat those as strictly worse than
 ///   any feasible candidate but may still walk through them.
 ///
-/// Problems are `Sync`: `evaluate` takes `&self` and the batched solvers
-/// (see [`crate::batch::BatchEvaluator`]) hammer one problem from many
-/// threads, so any evaluation-local state (memo caches, counters) must be
-/// thread-safe. Evaluation must also be *pure* — the same subset always
-/// yields the same value — which is what makes batched and serial
-/// evaluation bit-identical.
+/// Problems are `Sync`: `evaluate` takes `&self` and a
+/// [`crate::Portfolio`]'s members hammer one problem from many threads, so
+/// any evaluation-local state (memo caches, counters) must be thread-safe.
+/// Evaluation must also be *pure* — the same subset always yields the same
+/// value — which is what keeps a member's search independent of what the
+/// other members evaluated first.
 pub trait SubsetProblem: Sync {
     /// Number of items to choose from (`N = |U|`).
     fn universe_size(&self) -> usize;
@@ -79,9 +79,9 @@ pub trait SubsetProblem: Sync {
     }
 
     /// Whether the caller has requested that the current solve stop early
-    /// (see [`crate::CancelToken`]). Solvers poll this at round / node /
-    /// batch boundaries; when it returns `true` they abandon further search
-    /// and return their best incumbent with
+    /// (see [`crate::CancelToken`]). Solvers poll this at round /
+    /// generation / node boundaries; when it returns `true` they abandon
+    /// further search and return their best incumbent with
     /// [`crate::SolveResult::cancelled`] set. A problem that is never
     /// cancellable simply keeps the default `false`.
     ///
@@ -94,8 +94,8 @@ pub trait SubsetProblem: Sync {
 }
 
 /// Wraps a problem and counts objective evaluations, used by experiments to
-/// compare search effort across solvers. The counter is atomic so batched
-/// evaluation can count from worker threads; the total is exact (every
+/// compare search effort across solvers. The counter is atomic because the
+/// wrapper is shared like the problem it wraps; the total is exact (every
 /// `evaluate` call increments it once) regardless of evaluation order.
 pub struct CountingProblem<'a, P: SubsetProblem + ?Sized> {
     inner: &'a P,

@@ -10,7 +10,6 @@
 
 use rand::Rng;
 
-use crate::batch::BatchEvaluator;
 use crate::problem::SubsetProblem;
 use crate::solver::{run_counted, SolveResult, Solver};
 use crate::subset::Subset;
@@ -18,11 +17,11 @@ use crate::subset::Subset;
 /// Binary PSO configuration.
 ///
 /// Updates are *synchronous*: every particle's velocity update reads the
-/// global best from the end of the previous generation, the whole
-/// generation's repaired positions are evaluated as one batch, and only
-/// then are personal/global bests advanced (in particle order). This is the
-/// textbook synchronous PSO and what makes batched evaluation bit-identical
-/// to serial: no particle's update can observe a mid-generation gbest.
+/// global best from the end of the previous generation, and only once the
+/// whole generation's repaired positions are proposed are they evaluated
+/// and the personal/global bests advanced (in particle order). This is the
+/// textbook synchronous PSO: no particle's update can observe a
+/// mid-generation gbest.
 #[derive(Debug, Clone)]
 pub struct BinaryPso {
     /// Number of particles.
@@ -37,9 +36,6 @@ pub struct BinaryPso {
     pub social: f64,
     /// Velocity clamp.
     pub v_max: f64,
-    /// Evaluation pool for each generation's repaired positions (serial by
-    /// default; any width is bit-identical).
-    pub batch: BatchEvaluator,
 }
 
 impl Default for BinaryPso {
@@ -51,7 +47,6 @@ impl Default for BinaryPso {
             cognitive: 1.5,
             social: 1.5,
             v_max: 4.0,
-            batch: BatchEvaluator::default(),
         }
     }
 }
@@ -95,7 +90,7 @@ impl Solver for BinaryPso {
                 })
                 .collect();
             let mut pbest = positions.clone();
-            let mut pbest_obj: Vec<f64> = self.batch.evaluate(counted, &positions);
+            let mut pbest_obj: Vec<f64> = positions.iter().map(|p| counted.evaluate(p)).collect();
             let gbest_idx = pbest_obj
                 .iter()
                 .enumerate()
@@ -141,17 +136,16 @@ impl Solver for BinaryPso {
                         repair(counted, &desired, vel)
                     })
                     .collect();
-                // ... evaluate the whole generation as one batch ...
-                let objs = self.batch.evaluate(counted, &proposals);
-                // ... then advance personal and global bests in particle
-                // order over the returned values.
-                for (pi, &obj) in objs.iter().enumerate() {
+                // ... then evaluate the generation and advance personal and
+                // global bests, in particle order.
+                for (pi, proposal) in proposals.iter().enumerate() {
+                    let obj = counted.evaluate(proposal);
                     if obj > pbest_obj[pi] {
                         pbest_obj[pi] = obj;
-                        pbest[pi] = proposals[pi].clone();
+                        pbest[pi] = proposal.clone();
                         if obj > gbest_obj {
                             gbest_obj = obj;
-                            gbest = proposals[pi].clone();
+                            gbest = proposal.clone();
                         }
                     }
                 }
@@ -160,7 +154,6 @@ impl Solver for BinaryPso {
             }
             (gbest, gbest_obj, iters, trajectory)
         });
-        result.batch_width = self.batch.width();
         result.cancelled = was_cancelled;
         result
     }
@@ -220,21 +213,5 @@ mod tests {
         let p = PairBonus::new(10, 3);
         let s = BinaryPso::default();
         assert_eq!(s.solve(&p, 8).best, s.solve(&p, 8).best);
-    }
-
-    #[test]
-    fn batched_evaluation_is_bit_identical() {
-        let p = PairBonus::new(16, 5);
-        let serial = BinaryPso::default().solve(&p, 23);
-        let batched = BinaryPso {
-            batch: BatchEvaluator::with_threads(4),
-            ..BinaryPso::default()
-        }
-        .solve(&p, 23);
-        assert_eq!(serial.best, batched.best);
-        assert_eq!(serial.objective, batched.objective);
-        assert_eq!(serial.trajectory, batched.trajectory);
-        assert_eq!(serial.evaluations, batched.evaluations);
-        assert_eq!(batched.batch_width, 4);
     }
 }

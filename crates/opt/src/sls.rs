@@ -1,7 +1,6 @@
 //! Stochastic local search: random-restart best-improvement hill climbing —
 //! another alternative the paper compared against tabu search.
 
-use crate::batch::BatchEvaluator;
 use crate::moves::sample_moves;
 use crate::problem::SubsetProblem;
 use crate::solver::{random_start, run_counted, SolveResult, Solver};
@@ -16,9 +15,6 @@ pub struct StochasticLocalSearch {
     pub max_steps: u64,
     /// Moves sampled and evaluated per step.
     pub neighborhood_sample: usize,
-    /// Evaluation pool for each step's sampled neighborhood (serial by
-    /// default; any width is bit-identical).
-    pub batch: BatchEvaluator,
     /// Start the first restart from this subset (item indices) instead of a
     /// random one — see [`Solver::with_warm_start`]. Pins are added and
     /// excess items trimmed.
@@ -31,7 +27,6 @@ impl Default for StochasticLocalSearch {
             restarts: 8,
             max_steps: 80,
             neighborhood_sample: 24,
-            batch: BatchEvaluator::default(),
             warm_start: None,
         }
     }
@@ -77,14 +72,14 @@ impl Solver for StochasticLocalSearch {
                     iters += 1;
                     let moves = sample_moves(counted, &current, self.neighborhood_sample, rng);
                     // Best-improvement: propose the whole sample, evaluate
-                    // it as one batch, take the best strictly improving
-                    // move; stop at a local optimum.
+                    // it in order, take the best strictly improving move;
+                    // stop at a local optimum.
                     let nexts: Vec<Subset> =
                         moves.iter().map(|mv| mv.applied_to(&current)).collect();
-                    let objs = self.batch.evaluate(counted, &nexts);
                     let mut improved = false;
                     let mut best_move: Option<(usize, f64)> = None;
-                    for (k, &obj) in objs.iter().enumerate() {
+                    for (k, next) in nexts.iter().enumerate() {
+                        let obj = counted.evaluate(next);
                         if obj > current_obj && best_move.as_ref().is_none_or(|(_, b)| obj > *b) {
                             best_move = Some((k, obj));
                         }
@@ -106,7 +101,6 @@ impl Solver for StochasticLocalSearch {
             }
             (best, best_obj, iters, trajectory)
         });
-        result.batch_width = self.batch.width();
         result.cancelled = was_cancelled;
         result
     }
@@ -163,22 +157,6 @@ mod tests {
         let p = PairBonus::new(12, 4);
         let s = StochasticLocalSearch::default();
         assert_eq!(s.solve(&p, 77).best, s.solve(&p, 77).best);
-    }
-
-    #[test]
-    fn batched_evaluation_is_bit_identical() {
-        let p = PairBonus::new(20, 6);
-        let serial = StochasticLocalSearch::default().solve(&p, 41);
-        let batched = StochasticLocalSearch {
-            batch: BatchEvaluator::with_threads(3),
-            ..StochasticLocalSearch::default()
-        }
-        .solve(&p, 41);
-        assert_eq!(serial.best, batched.best);
-        assert_eq!(serial.objective, batched.objective);
-        assert_eq!(serial.trajectory, batched.trajectory);
-        assert_eq!(serial.evaluations, batched.evaluations);
-        assert_eq!(batched.batch_width, 3);
     }
 
     #[test]

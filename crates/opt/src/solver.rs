@@ -3,7 +3,6 @@
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-use crate::batch::BatchEvaluator;
 use crate::problem::{CountingProblem, SubsetProblem};
 use crate::subset::Subset;
 
@@ -26,10 +25,6 @@ pub struct SolveResult {
     /// For portfolio runs, the [`Solver::name`] of the member that produced
     /// `best`; `None` for plain solvers.
     pub winner: Option<&'static str>,
-    /// Parallel evaluation width used: the resolved
-    /// [`BatchEvaluator`](crate::batch::BatchEvaluator) width for batched
-    /// solvers (1 = serial), or the member count for a portfolio run.
-    pub batch_width: usize,
     /// Certified optimality gap, exact solvers only: the true optimum lies
     /// in `[objective, objective + gap]`. `Some(0.0)` is a proof of
     /// optimality; `Some(g > 0)` is an anytime result under a node budget;
@@ -142,7 +137,6 @@ where
         iterations,
         trajectory,
         winner: None,
-        batch_width: 1,
         gap: None,
         nodes_expanded: 0,
         nodes_pruned: 0,
@@ -163,28 +157,24 @@ pub(crate) fn random_start(problem: &dyn SubsetProblem, rng: &mut StdRng) -> Sub
 
 /// Scores every free item as `evaluate(pins ∪ {i})` and returns the item
 /// ordering (best first) plus the constructed top-`m` starting subset.
-/// Deterministic, costs `n` evaluations (batched through `batch`). The
-/// ordering doubles as the tabu candidate list (see
+/// Deterministic, costs `n` evaluations, in item order. The ordering
+/// doubles as the tabu candidate list (see
 /// [`crate::moves::sample_moves_biased`]).
 pub(crate) fn singleton_greedy_start<P: SubsetProblem + ?Sized>(
     problem: &P,
-    batch: &BatchEvaluator,
 ) -> (Subset, Vec<usize>) {
     let n = problem.universe_size();
     let pins: Vec<usize> = problem.pinned().to_vec();
     let base = Subset::from_indices(n, pins.iter().copied());
     let budget = problem.max_selected().min(n).saturating_sub(base.len());
-    let free: Vec<usize> = base.complement_iter().collect();
-    let singletons: Vec<Subset> = free
-        .iter()
-        .map(|&i| {
+    let mut scored: Vec<(f64, usize)> = base
+        .complement_iter()
+        .map(|i| {
             let mut candidate = base.clone();
             candidate.insert(i);
-            candidate
+            (problem.evaluate(&candidate), i)
         })
         .collect();
-    let values = batch.evaluate(problem, &singletons);
-    let mut scored: Vec<(f64, usize)> = values.into_iter().zip(free).collect();
     scored.sort_by(|a, b| b.0.total_cmp(&a.0).then(a.1.cmp(&b.1)));
     let ordering: Vec<usize> = scored.iter().map(|&(_, i)| i).collect();
     let mut start = base;
@@ -192,6 +182,62 @@ pub(crate) fn singleton_greedy_start<P: SubsetProblem + ?Sized>(
         start.insert(i);
     }
     (start, ordering)
+}
+
+/// Picks the candidate a full evaluate-then-scan would pick, evaluating
+/// best leaf bound first and skipping what the bounds rule out. Greedy
+/// and tabu search select every move through this.
+///
+/// Candidate `k` is *eligible* when `bar(k)` is `None` or its value
+/// strictly exceeds `bar(k)`. The result is `(k, value)` for the maximum
+/// value among eligible candidates, ties going to the lowest index, or
+/// `None` when no candidate is eligible.
+///
+/// Each candidate's leaf bound is
+/// `problem.component_bound(c, &c.complement())`, an upper bound on
+/// `evaluate(c)` by the trait's admissibility contract. Candidates without
+/// a bound are evaluated first, in index order. Bounded candidates are then
+/// evaluated in descending bound order (ties by index), skipping any whose
+/// bound is at most its `bar` (it could never be eligible) and stopping at
+/// the first bound below the best eligible value so far (nothing after it
+/// can win or tie). A bound *equal* to the best value is still evaluated:
+/// it may tie at a lower index.
+pub(crate) fn select_best<P: SubsetProblem + ?Sized>(
+    problem: &P,
+    candidates: &[Subset],
+    bar: impl Fn(usize) -> Option<f64>,
+) -> Option<(usize, f64)> {
+    let bounds: Vec<Option<f64>> = candidates
+        .iter()
+        .map(|c| problem.component_bound(c, &c.complement()))
+        .collect();
+    let eligible = |k: usize, value: f64| bar(k).is_none_or(|floor| value > floor);
+    let mut best: Option<(usize, f64)> = None;
+    let offer = |best: &mut Option<(usize, f64)>, k: usize, value: f64| {
+        let better = best.is_none_or(|(bk, bv)| value > bv || (value == bv && k < bk));
+        if better && eligible(k, value) {
+            *best = Some((k, value));
+        }
+    };
+    for k in (0..candidates.len()).filter(|&k| bounds[k].is_none()) {
+        offer(&mut best, k, problem.evaluate(&candidates[k]));
+    }
+    let mut ranked: Vec<(usize, f64)> = bounds
+        .iter()
+        .enumerate()
+        .filter_map(|(k, b)| b.map(|b| (k, b)))
+        .collect();
+    ranked.sort_by(|a, b| b.1.total_cmp(&a.1).then(a.0.cmp(&b.0)));
+    for (k, bound) in ranked {
+        if best.is_some_and(|(_, bv)| bound < bv) {
+            break;
+        }
+        if bar(k).is_some_and(|floor| bound <= floor) {
+            continue;
+        }
+        offer(&mut best, k, problem.evaluate(&candidates[k]));
+    }
+    best
 }
 
 #[cfg(test)]
@@ -220,7 +266,6 @@ mod tests {
             iterations: trajectory.len() as u64,
             trajectory,
             winner: None,
-            batch_width: 1,
             gap: None,
             nodes_expanded: 0,
             nodes_pruned: 0,

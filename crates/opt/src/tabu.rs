@@ -12,10 +12,11 @@
 //! handled as *permanently tabu regions*: moves that would drop a pinned
 //! item are never generated (see [`crate::moves`]).
 
-use crate::batch::BatchEvaluator;
 use crate::moves::sample_moves_biased;
 use crate::problem::SubsetProblem;
-use crate::solver::{random_start, run_counted, singleton_greedy_start, SolveResult, Solver};
+use crate::solver::{
+    random_start, run_counted, select_best, singleton_greedy_start, SolveResult, Solver,
+};
 use crate::subset::Subset;
 
 /// Tabu search configuration.
@@ -58,16 +59,6 @@ pub struct TabuSearch {
     /// "perturbing the weights caused at most 1 GA to change" presumes
     /// exactly this warm-start behaviour).
     pub warm_start: Option<Vec<usize>>,
-    /// How to evaluate each iteration's sampled neighborhood: the whole
-    /// candidate batch is proposed first, then the move is selected best
-    /// leaf bound first through this pool (see [`BatchEvaluator`]), one
-    /// evaluation at a time, skipping candidates whose bound proves they
-    /// cannot be chosen. The width parallelizes the greedy start's
-    /// singleton batch and any candidates the problem offers no bound for.
-    /// Serial by default; any width produces bit-identical results and
-    /// evaluation counts, because the selection returns the move a full
-    /// scan would.
-    pub batch: BatchEvaluator,
 }
 
 impl Default for TabuSearch {
@@ -81,7 +72,6 @@ impl Default for TabuSearch {
             greedy_start: true,
             scale_sample_to_universe: true,
             warm_start: None,
-            batch: BatchEvaluator::default(),
         }
     }
 }
@@ -98,7 +88,6 @@ impl TabuSearch {
             greedy_start: true,
             scale_sample_to_universe: false,
             warm_start: None,
-            batch: BatchEvaluator::default(),
         }
     }
 
@@ -147,7 +136,7 @@ impl Solver for TabuSearch {
                 }
                 (start, None)
             } else if self.greedy_start {
-                let (start, ordering) = singleton_greedy_start(counted, &self.batch);
+                let (start, ordering) = singleton_greedy_start(counted);
                 (start, Some(ordering))
             } else {
                 (random_start(counted, rng), None)
@@ -178,14 +167,14 @@ impl Solver for TabuSearch {
                     break;
                 }
                 // Propose the whole neighborhood first, then pick the best
-                // non-tabu move; a tabu move passes only via aspiration (it
-                // would improve on the global best), so its bar is
-                // `best_obj`. Selection returns the move a scan over every
-                // value in candidate order would, so any batch width, and
-                // any pruning the bounds allow, picks the same move.
+                // non-tabu move, best leaf bound first; a tabu move passes
+                // only via aspiration (it would improve on the global best),
+                // so its bar is `best_obj`. Selection returns the move a
+                // scan over every value in candidate order would, so the
+                // pruning the bounds allow never changes the move.
                 let mut nexts: Vec<Subset> =
                     moves.iter().map(|mv| mv.applied_to(&current)).collect();
-                let chosen = self.batch.select(counted, &nexts, |k| {
+                let chosen = select_best(counted, &nexts, |k| {
                     let (a, b) = moves[k].touched();
                     let tabu = tabu_until[a] > iter || b.is_some_and(|b| tabu_until[b] > iter);
                     tabu.then_some(best_obj)
@@ -217,7 +206,6 @@ impl Solver for TabuSearch {
             }
             (best, best_obj, iters, trajectory)
         });
-        result.batch_width = self.batch.width();
         result.cancelled = was_cancelled;
         result
     }
@@ -323,22 +311,6 @@ mod tests {
             fixed.solve(&pinned, 3).iterations,
             fixed.solve(&free, 3).iterations
         );
-    }
-
-    #[test]
-    fn batched_evaluation_is_bit_identical() {
-        let p = PairBonus::new(24, 6);
-        let serial = TabuSearch::default().solve(&p, 13);
-        let batched = TabuSearch {
-            batch: BatchEvaluator::with_threads(4),
-            ..TabuSearch::default()
-        }
-        .solve(&p, 13);
-        assert_eq!(serial.best, batched.best);
-        assert_eq!(serial.objective, batched.objective);
-        assert_eq!(serial.trajectory, batched.trajectory);
-        assert_eq!(serial.evaluations, batched.evaluations);
-        assert_eq!(batched.batch_width, 4);
     }
 
     #[test]

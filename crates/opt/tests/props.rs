@@ -7,9 +7,9 @@ use std::sync::Arc;
 use proptest::prelude::*;
 
 use mube_opt::{
-    lp_solve, BatchEvaluator, BinaryPso, BranchAndBound, Exhaustive, Greedy, LpConstraint,
-    LpOutcome, LpProblem, Portfolio, RandomSearch, Relation, SimulatedAnnealing, Solver,
-    StochasticLocalSearch, Subset, SubsetProblem, TabuSearch,
+    lp_solve, BinaryPso, BranchAndBound, Exhaustive, Greedy, LpConstraint, LpOutcome, LpProblem,
+    Portfolio, RandomSearch, Relation, SimulatedAnnealing, Solver, StochasticLocalSearch, Subset,
+    SubsetProblem, TabuSearch,
 };
 
 /// A random modular-plus-pairwise objective:
@@ -194,7 +194,7 @@ fn all_solvers() -> Vec<Box<dyn Solver>> {
             max_steps: 30,
             ..StochasticLocalSearch::default()
         }),
-        Box::new(Greedy::default()),
+        Box::new(Greedy),
         Box::new(RandomSearch { samples: 200 }),
     ]
 }
@@ -250,44 +250,6 @@ proptest! {
     }
 
     #[test]
-    fn batched_solvers_are_bit_identical_to_serial(
-        problem in arb_problem(),
-        seed in 0u64..50,
-        threads in 2usize..5,
-    ) {
-        // min_batch: 2 forces the parallel path even on these tiny
-        // neighborhoods — the point is to exercise the threaded stripes.
-        let batch = BatchEvaluator { threads, min_batch: 2 };
-        let pairs: Vec<(Box<dyn Solver>, Box<dyn Solver>)> = vec![
-            (
-                Box::new(TabuSearch::quick()),
-                Box::new(TabuSearch { batch, ..TabuSearch::quick() }),
-            ),
-            (
-                Box::new(StochasticLocalSearch { restarts: 3, max_steps: 30, ..Default::default() }),
-                Box::new(StochasticLocalSearch { restarts: 3, max_steps: 30, batch, ..Default::default() }),
-            ),
-            (
-                Box::new(Greedy::default()),
-                Box::new(Greedy { batch }),
-            ),
-            (
-                Box::new(BinaryPso { particles: 10, generations: 30, ..Default::default() }),
-                Box::new(BinaryPso { particles: 10, generations: 30, batch, ..Default::default() }),
-            ),
-        ];
-        for (serial, batched) in pairs {
-            let a = serial.solve(&problem, seed);
-            let b = batched.solve(&problem, seed);
-            prop_assert_eq!(a.best, b.best, "{} diverged under batching", serial.name());
-            prop_assert_eq!(a.objective, b.objective);
-            prop_assert_eq!(a.trajectory, b.trajectory);
-            prop_assert_eq!(a.evaluations, b.evaluations);
-            prop_assert_eq!(b.batch_width, threads);
-        }
-    }
-
-    #[test]
     fn portfolio_is_deterministic_sound_and_never_worse_than_members(
         problem in arb_problem(),
         seed in 0u64..50,
@@ -296,7 +258,7 @@ proptest! {
             members: vec![
                 Arc::new(TabuSearch::quick()),
                 Arc::new(StochasticLocalSearch { restarts: 3, max_steps: 30, ..Default::default() }),
-                Arc::new(Greedy::default()),
+                Arc::new(Greedy),
             ],
             rounds: 2,
             cross_seed: true,
@@ -319,7 +281,7 @@ proptest! {
             prop_assert!(a.result.objective >= m.objective);
         }
         // Greedy is a member, so the portfolio at least matches greedy.
-        let greedy = Greedy::default().solve(&problem, 0);
+        let greedy = Greedy.solve(&problem, 0);
         prop_assert!(a.result.objective >= greedy.objective - 1e-9);
     }
 }
@@ -333,25 +295,19 @@ proptest! {
     fn bound_pruned_selection_matches_the_full_scan(
         problem in arb_problem(),
         seed in 0u64..50,
-        threads in 2usize..5,
     ) {
-        // Width 1 and a threaded width (min_batch 2 sends even these tiny
-        // batches — the full scan's and tabu's singleton start — through
-        // the threads), on the problem's own loose bound and on the
-        // tie-heavy, tightly bounded `Coarse`: the pruned solve must equal
-        // the unbounded full scan in everything but effort.
+        // On the problem's own loose bound and on the tie-heavy, tightly
+        // bounded `Coarse`: the pruned solve must equal the unbounded full
+        // scan in everything but effort.
         let coarse = Coarse(&problem);
         let problems: [&dyn SubsetProblem; 2] = [&problem, &coarse];
-        for (p, width) in problems.into_iter().flat_map(|p| [(p, 1), (p, threads)]) {
-            let batch = BatchEvaluator { threads: width, min_batch: 2 };
-            let solvers: Vec<Box<dyn Solver>> = vec![
-                Box::new(Greedy { batch }),
-                Box::new(TabuSearch { batch, ..TabuSearch::quick() }),
-            ];
+        for p in problems {
+            let solvers: Vec<Box<dyn Solver>> =
+                vec![Box::new(Greedy), Box::new(TabuSearch::quick())];
             for solver in solvers {
                 let pruned = solver.solve(p, seed);
                 let full = solver.solve(&Unbounded(p), seed);
-                prop_assert_eq!(&pruned.best, &full.best, "{} at width {}", solver.name(), width);
+                prop_assert_eq!(&pruned.best, &full.best, "{}", solver.name());
                 prop_assert_eq!(pruned.objective.to_bits(), full.objective.to_bits());
                 prop_assert_eq!(&pruned.trajectory, &full.trajectory);
                 prop_assert_eq!(pruned.iterations, full.iterations);

@@ -96,15 +96,6 @@ impl HllSketch {
 
     /// Merges by per-register max — identical to sketching the union.
     ///
-    /// The max runs in fixed 64-register blocks (one cache line, eight
-    /// `u64` lanes' worth of bytes): the compile-time block length lets the
-    /// compiler drop every bounds check and emit full-width SIMD byte-max
-    /// over each block. A hand-rolled SWAR byte-max packed into `u64` lanes
-    /// was measured ~5x *slower* than this vectorized block pass on AVX2,
-    /// so the blocks stay plain byte maxes. Register counts are
-    /// `2^precision`, so only `precision < 6` (16 or 32 registers) takes
-    /// the scalar remainder loop — and then the whole sketch is tiny.
-    ///
     /// # Panics
     /// Panics on incompatible sketches.
     pub fn merge(&mut self, other: &HllSketch) {
@@ -112,14 +103,7 @@ impl HllSketch {
             self.compatible(other),
             "cannot merge incompatible HLL sketches"
         );
-        let mut ours = self.registers.chunks_exact_mut(64);
-        let mut theirs = other.registers.chunks_exact(64);
-        for (ac, bc) in ours.by_ref().zip(theirs.by_ref()) {
-            for (a, b) in ac.iter_mut().zip(bc) {
-                *a = (*a).max(*b);
-            }
-        }
-        for (a, b) in ours.into_remainder().iter_mut().zip(theirs.remainder()) {
+        for (a, b) in self.registers.iter_mut().zip(&other.registers) {
             *a = (*a).max(*b);
         }
     }
@@ -239,9 +223,8 @@ mod tests {
     }
 
     #[test]
-    fn blocked_merge_equals_scalar_max_at_every_precision() {
-        // p = 4 and 5 exercise the pure-remainder path, p = 6 the exact
-        // one-block boundary, larger p the block loop proper.
+    fn merge_equals_byte_max_at_every_precision() {
+        // Every supported precision, from 16 registers to 65,536.
         for p in 4..=16u32 {
             let mut a = HllSketch::new(p, TupleHasher::default());
             let b_regs;

@@ -293,7 +293,7 @@ pub fn solver_by_name(name: &str) -> Result<Box<dyn Solver>, String> {
         "sa" => Ok(Box::new(SimulatedAnnealing::default())),
         "pso" => Ok(Box::new(BinaryPso::default())),
         "sls" => Ok(Box::new(StochasticLocalSearch::default())),
-        "greedy" => Ok(Box::new(Greedy::default())),
+        "greedy" => Ok(Box::new(Greedy)),
         "random" => Ok(Box::new(RandomSearch::default())),
         "exhaustive" => Ok(Box::new(Exhaustive::default())),
         other => Err(format!(

@@ -155,8 +155,9 @@ impl Json {
         let n = self.as_f64()?;
         // `fract() > 0` is the equality-free integrality test: for the
         // non-negative finite range admitted above, a fractional part is
-        // either exactly zero or strictly positive.
-        if n < 0.0 || n > u64::MAX as f64 || n.fract() > 0.0 {
+        // either exactly zero or strictly positive. `u64::MAX as f64` rounds
+        // up to 2^64, which is itself out of range, hence `>=`.
+        if n < 0.0 || n >= u64::MAX as f64 || n.fract() > 0.0 {
             return None;
         }
         Some(n as u64)
@@ -531,6 +532,14 @@ mod tests {
         assert_eq!(v.as_u64(), Some(7));
         assert_eq!(Json::parse("-1").unwrap().as_u64(), None);
         assert_eq!(Json::parse("1.5").unwrap().as_u64(), None);
+        // 2^64 and u64::MAX both parse to 2^64 as f64: out of range, not
+        // saturated. 2^53 is exact and in range.
+        assert_eq!(Json::parse("18446744073709551616").unwrap().as_u64(), None);
+        assert_eq!(Json::parse("18446744073709551615").unwrap().as_u64(), None);
+        assert_eq!(
+            Json::parse("9007199254740992").unwrap().as_u64(),
+            Some(9_007_199_254_740_992)
+        );
         assert_eq!(Json::Num(f64::NAN).render(), "null");
     }
 }

@@ -29,9 +29,13 @@ fn tri_offset(j: usize) -> usize {
 }
 
 /// Distinct-name count below which the triangle is filled serially: the fill
-/// is ~`d²/2` signature comparisons, and under this size thread spawn/join
-/// overhead outweighs the work being split.
-const PARALLEL_CUTOFF: usize = 96;
+/// is ~`d²/2` pair scores, and under this size thread spawn/join overhead
+/// outweighs the work being split. Measured on a 2-vCPU Xeon VM with the
+/// gram-interned pair kernel (`compute`, 41 runs per size): two threads lost
+/// at 109 names (median 0.84–1.03 ms against 0.52–0.56 ms serial), won
+/// their best runs from 194 names up (2.1–2.5 ms against 2.8–3.2 ms), and
+/// won in the median at 1,711 names (149–160 ms against 218–234 ms).
+const PARALLEL_CUTOFF: usize = 192;
 
 /// Fills `rows` — the packed entries of triangle rows `start..end` — exactly
 /// as the serial loop would: entry `(i, j)`, `i < j`, at local offset
@@ -57,10 +61,17 @@ fn fill_rows<F: Fn(usize, usize) -> f32>(rows: &mut [f32], start: usize, end: us
 /// counts, not equal row counts, since row length grows with the row index.
 fn fill_triangle<F: Fn(usize, usize) -> f32 + Sync>(d: usize, score: F) -> Vec<f32> {
     let mut tri = vec![0f32; d * (d.saturating_sub(1)) / 2];
-    let workers = std::thread::available_parallelism()
-        .map(std::num::NonZeroUsize::get)
-        .unwrap_or(1);
-    if d < PARALLEL_CUTOFF || workers < 2 {
+    // Below the cutoff the worker count is not asked for: the query reads
+    // cgroup files and took about 25 µs on a 2-vCPU VM, 5–8% of a 108-name
+    // fill.
+    let workers = if d < PARALLEL_CUTOFF {
+        1
+    } else {
+        std::thread::available_parallelism()
+            .map(std::num::NonZeroUsize::get)
+            .unwrap_or(1)
+    };
+    if workers < 2 {
         fill_rows(&mut tri, 1, d, &score);
     } else {
         let total = tri.len();
@@ -342,7 +353,7 @@ mod tests {
         // Enough distinct names to cross PARALLEL_CUTOFF and engage the
         // threaded fill (on multi-core hosts; single-core falls back and
         // the comparison is trivially exact).
-        let ns: Vec<String> = (0..150)
+        let ns: Vec<String> = (0..240)
             .map(|i| format!("attr {} field {i}", i % 30))
             .collect();
         assert!(ns.len() >= PARALLEL_CUTOFF);

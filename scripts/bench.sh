@@ -13,7 +13,7 @@
 #
 # Full runs should happen on a quiet machine; the harnesses take best-of-N
 # wall times for the in-tree arms. The solve harness asserts the determinism
-# contract (serial re-run byte-identical, batched == serial); the session
+# contract (serial re-run byte-identical, pruned == full scan); the session
 # harness asserts that arena-backed and cold sessions produce bit-identical
 # histories; the kernels harness asserts packed/scalar bit-identity in every
 # mode and the acceptance thresholds (≥3x pairwise Jaccard, ≥2x matrix fill)

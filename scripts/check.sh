@@ -23,9 +23,6 @@ cargo clippy --workspace --all-targets -- -D warnings
 echo "==> cargo test -q (workspace)"
 cargo test -q --workspace
 
-echo "==> width-1 determinism pass (batched paths forced serial)"
-MUBE_BATCH_THREADS=1 cargo test -q -p mube-opt --test props
-
 echo "==> bench harness smoke (match + solve + session + kernels + bound harnesses"
 echo "    run, JSON schemas intact, packed/scalar bit-identity asserted)"
 scripts/bench.sh --smoke

@@ -83,7 +83,7 @@ pub mod prelude {
         SolutionDiff, SpecDelta, UniverseSnapshot,
     };
     pub use mube_opt::{
-        BatchEvaluator, BinaryPso, BranchAndBound, Exhaustive, Greedy, Portfolio, PortfolioMember,
+        BinaryPso, BranchAndBound, Exhaustive, Greedy, Portfolio, PortfolioMember,
         PortfolioOutcome, RandomSearch, SimulatedAnnealing, Solver, StochasticLocalSearch,
         TabuSearch,
     };

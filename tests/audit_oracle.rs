@@ -18,7 +18,7 @@ fn audit_all_solvers(spec: &ProblemSpec, n_sources: usize, seed: u64) {
     let mube = engine_for(&generated);
     let solvers: Vec<(&str, Box<dyn Solver>)> = vec![
         ("exhaustive", Box::new(Exhaustive::default())),
-        ("greedy", Box::new(Greedy::default())),
+        ("greedy", Box::new(Greedy)),
         ("anneal", Box::new(SimulatedAnnealing::default())),
         ("tabu", Box::new(TabuSearch::quick())),
     ];
@@ -60,7 +60,7 @@ fn all_solvers_pass_audit_with_constraints() {
 
     for solver in [
         Box::new(Exhaustive::default()) as Box<dyn Solver>,
-        Box::new(Greedy::default()),
+        Box::new(Greedy),
         Box::new(SimulatedAnnealing::default()),
     ] {
         let solution = mube.solve(&spec, solver.as_ref(), 7).expect("feasible");
@@ -74,7 +74,7 @@ fn audit_flags_tampered_solution() {
     let generated = UniverseConfig::small_test(16, 3).generate();
     let mube = engine_for(&generated);
     let spec = ProblemSpec::new(6);
-    let mut solution = mube.solve(&spec, &Greedy::default(), 3).expect("solvable");
+    let mut solution = mube.solve(&spec, &Greedy, 3).expect("solvable");
     // Corrupt the reported quality: the oracle must notice the mismatch
     // with the recomputed weighted QEF sum.
     solution.overall_quality = if solution.overall_quality > 0.5 {

@@ -145,7 +145,7 @@ fn every_solver_produces_feasible_solutions() {
         Box::new(SimulatedAnnealing::default()),
         Box::new(BinaryPso::default()),
         Box::new(StochasticLocalSearch::default()),
-        Box::new(Greedy::default()),
+        Box::new(Greedy),
         Box::new(RandomSearch { samples: 200 }),
     ];
     for solver in solvers {
