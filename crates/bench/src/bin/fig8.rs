@@ -27,7 +27,7 @@ fn main() {
             .with_pinned("cardinality", w)
             .expect("valid pin");
         let spec = paper_spec(m).with_weights(weights);
-        let (solution, _) = timed_solve(&mube, &spec, &solver, 7);
+        let (_, solution) = timed_solve(&mube, &spec, &solver, 7);
         let chosen: u64 = generated
             .universe
             .cardinality_of(solution.selected.iter().copied());

@@ -17,14 +17,13 @@
 //!   cargo run --release -p mube-bench --bin match_kernel -- --smoke --out target/BENCH_match.smoke.json
 
 use std::collections::BTreeSet;
-use std::fmt::Write as _;
-use std::time::{Duration, Instant};
 
-use mube_bench::{engine, paper_spec, universe, Scale};
+use mube_bench::{best_of, engine, paper_spec, timed, timed_solve, universe, Run, Scale};
 use mube_cluster::{match_sources, AttrSimilarity, MatchConfig, MatchKernel, MatchOutcome};
 use mube_core::Mube;
 use mube_opt::TabuSearch;
 use mube_schema::{AttrId, Constraints, MediatedSchema, SourceId, Universe};
+use mube_serve::json::{obj, Json};
 
 /// A cluster as the seed-commit kernel represented it — the minimum state
 /// the pre-PR round loop needs (the bench runs unconstrained, so the
@@ -38,9 +37,8 @@ struct SeedCluster {
     alive: bool,
 }
 
-/// Measurement of the pre-PR baseline on one universe size.
+/// What the seed-commit baseline did on one universe size.
 struct PrePrRun {
-    millis: f64,
     rounds: u32,
     linkage_evals: u64,
     gas: Vec<BTreeSet<AttrId>>,
@@ -59,7 +57,6 @@ fn pre_pr_match(
     config: &MatchConfig,
     sim: &dyn AttrSimilarity,
 ) -> PrePrRun {
-    let start = Instant::now();
     let mut clusters: Vec<SeedCluster> = Vec::new();
     for &sid in sources {
         for attr in universe.expect_source(sid).attr_ids() {
@@ -162,7 +159,6 @@ fn pre_pr_match(
         .collect();
     gas.sort();
     PrePrRun {
-        millis: start.elapsed().as_secs_f64() * 1e3,
         rounds,
         linkage_evals,
         gas,
@@ -177,47 +173,21 @@ fn ga_sets(schema: &MediatedSchema) -> Vec<BTreeSet<AttrId>> {
     v
 }
 
-/// One kernel's measurement on one universe size.
-struct KernelRun {
-    millis: f64,
-    outcome: MatchOutcome,
+fn kernel_json(millis: f64, outcome: &MatchOutcome) -> Json {
+    let s = &outcome.stats;
+    obj([
+        ("millis", millis.into()),
+        ("rounds", outcome.rounds.into()),
+        ("linkage_evals", s.linkage_evals.into()),
+        ("lw_updates", s.lw_updates.into()),
+        ("heap_pushes", s.heap_pushes.into()),
+        ("stale_pops", s.stale_pops.into()),
+        ("gas", outcome.schema.len().into()),
+        ("quality", outcome.quality.into()),
+    ])
 }
 
-fn best_of(reps: u32, mut run: impl FnMut() -> MatchOutcome) -> KernelRun {
-    let mut best = Duration::MAX;
-    let mut outcome = None;
-    for _ in 0..reps {
-        let start = Instant::now();
-        let out = run();
-        let elapsed = start.elapsed();
-        if elapsed < best {
-            best = elapsed;
-        }
-        outcome = Some(out);
-    }
-    KernelRun {
-        millis: best.as_secs_f64() * 1e3,
-        outcome: outcome.expect("reps >= 1"),
-    }
-}
-
-fn kernel_json(run: &KernelRun) -> String {
-    let s = &run.outcome.stats;
-    format!(
-        "{{\"millis\": {:.3}, \"rounds\": {}, \"linkage_evals\": {}, \"lw_updates\": {}, \
-         \"heap_pushes\": {}, \"stale_pops\": {}, \"gas\": {}, \"quality\": {:.6}}}",
-        run.millis,
-        run.outcome.rounds,
-        s.linkage_evals,
-        s.lw_updates,
-        s.heap_pushes,
-        s.stale_pops,
-        run.outcome.schema.len(),
-        run.outcome.quality,
-    )
-}
-
-fn bench_size(size: usize, reps: u32, out: &mut String) {
+fn bench_size(size: usize, reps: u32) -> Json {
     eprintln!("== n = {size} sources ==");
     let generated = universe(size, 7, Scale::Reduced);
     let mube: Mube = engine(&generated);
@@ -245,109 +215,80 @@ fn bench_size(size: usize, reps: u32, out: &mut String) {
             .expect("unconstrained match is always feasible")
         })
     };
-    let incremental = run_kernel(MatchKernel::Incremental);
-    let brute = run_kernel(MatchKernel::BruteForce);
+    let (incremental_millis, incremental) = run_kernel(MatchKernel::Incremental);
+    let (brute_millis, brute) = run_kernel(MatchKernel::BruteForce);
     assert_eq!(
-        incremental.outcome.schema, brute.outcome.schema,
+        incremental.schema, brute.schema,
         "kernels must produce identical schemas"
     );
     // The pre-PR baseline is slow by design — one timed run is plenty.
     let config = MatchConfig::default();
-    let pre_pr = pre_pr_match(&generated.universe, &ids, &config, mube.similarity());
+    let (pre_pr_millis, pre_pr) =
+        timed(|| pre_pr_match(&generated.universe, &ids, &config, mube.similarity()));
     assert_eq!(
         pre_pr.gas,
-        ga_sets(&incremental.outcome.schema),
+        ga_sets(&incremental.schema),
         "pre-PR reference must produce the same GAs"
     );
-    let speedup = pre_pr.millis / incremental.millis.max(1e-9);
-    let speedup_vs_brute = brute.millis / incremental.millis.max(1e-9);
-    eprintln!(
-        "  match_sources: incremental {:.1} ms, brute {:.1} ms, pre-PR {:.1} ms \
-         ({speedup:.2}x vs pre-PR, {speedup_vs_brute:.2}x vs brute)",
-        incremental.millis, brute.millis, pre_pr.millis
-    );
+    let speedup = pre_pr_millis / incremental_millis.max(1e-9);
+    let speedup_vs_brute = brute_millis / incremental_millis.max(1e-9);
 
     // One full solve on the same universe: the kernel's effect end-to-end,
     // including the objective memo cache.
-    let spec = paper_spec(10);
-    let start = Instant::now();
-    let solution = mube
-        .solve(&spec, &TabuSearch::quick(), 7)
-        .expect("paper spec is feasible on generated universes");
-    let solve_millis = start.elapsed().as_secs_f64() * 1e3;
-    eprintln!(
-        "  solve: {:.1} ms, {} match calls, {} cache hits",
-        solve_millis, solution.stats.match_calls, solution.stats.cache_hits
-    );
+    let (solve_millis, solution) = timed_solve(&mube, &paper_spec(10), &TabuSearch::quick(), 7);
+    let stats = &solution.stats;
 
-    let _ = write!(
-        out,
-        "    {{\"sources\": {}, \"attrs\": {}, \"match\": {{\"incremental\": {}, \
-         \"brute_force\": {}, \"pre_pr\": {{\"millis\": {:.3}, \"rounds\": {}, \
-         \"linkage_evals\": {}}}, \"speedup\": {:.3}, \"speedup_vs_brute\": {:.3}}}, \
-         \"solve\": {{\"millis\": {:.3}, \
-         \"evaluations\": {}, \"match_calls\": {}, \"cache_hits\": {}, \"linkage_evals\": {}, \
-         \"lw_updates\": {}, \"quality\": {:.6}}}}}",
-        size,
-        generated.universe.total_attrs(),
-        kernel_json(&incremental),
-        kernel_json(&brute),
-        pre_pr.millis,
-        pre_pr.rounds,
-        pre_pr.linkage_evals,
-        speedup,
-        speedup_vs_brute,
-        solve_millis,
-        solution.stats.evaluations,
-        solution.stats.match_calls,
-        solution.stats.cache_hits,
-        solution.stats.linkage_evals,
-        solution.stats.lw_updates,
-        solution.overall_quality,
-    );
+    obj([
+        ("sources", size.into()),
+        ("attrs", generated.universe.total_attrs().into()),
+        (
+            "match",
+            obj([
+                ("incremental", kernel_json(incremental_millis, &incremental)),
+                ("brute_force", kernel_json(brute_millis, &brute)),
+                (
+                    "pre_pr",
+                    obj([
+                        ("millis", pre_pr_millis.into()),
+                        ("rounds", pre_pr.rounds.into()),
+                        ("linkage_evals", pre_pr.linkage_evals.into()),
+                    ]),
+                ),
+                ("speedup", speedup.into()),
+                ("speedup_vs_brute", speedup_vs_brute.into()),
+            ]),
+        ),
+        (
+            "solve",
+            obj([
+                ("millis", solve_millis.into()),
+                ("evaluations", stats.evaluations.into()),
+                ("match_calls", stats.match_calls.into()),
+                ("cache_hits", stats.cache_hits.into()),
+                ("linkage_evals", stats.linkage_evals.into()),
+                ("lw_updates", stats.lw_updates.into()),
+                ("quality", solution.overall_quality.into()),
+            ]),
+        ),
+    ])
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    let smoke = args.iter().any(|a| a == "--smoke");
-    let out_path = args
-        .iter()
-        .position(|a| a == "--out")
-        .and_then(|i| args.get(i + 1))
-        .cloned()
-        .unwrap_or_else(|| "BENCH_match.json".to_owned());
-    let (sizes, reps): (&[usize], u32) = if smoke {
+    let run = Run::from_args("match_kernel").expect("usage: [--smoke] [--out <path>]");
+    let (sizes, reps): (&[usize], u32) = if run.smoke {
         (&[20, 40], 1)
     } else {
         (&[50, 100, 200, 400], 3)
     };
-
-    let mut body = String::new();
-    for (i, &size) in sizes.iter().enumerate() {
-        if i > 0 {
-            body.push_str(",\n");
-        }
-        bench_size(size, reps, &mut body);
-    }
-    let json = format!(
-        "{{\n  \"bench\": \"match_kernel\",\n  \"mode\": \"{}\",\n  \"scale\": \"reduced\",\n  \
-         \"theta\": 0.75,\n  \"units\": {{\"millis\": \"best-of-{} wall clock\"}},\n  \
-         \"sizes\": [\n{}\n  ]\n}}\n",
-        if smoke { "smoke" } else { "full" },
-        reps,
-        body
-    );
-    std::fs::write(&out_path, &json).expect("write BENCH json");
-    // Cheap schema-rot guard: the artifact must contain every key a reader
-    // of the perf trajectory greps for.
-    for key in [
-        "speedup",
-        "linkage_evals",
-        "lw_updates",
-        "cache_hits",
-        "rounds",
-    ] {
-        assert!(json.contains(key), "BENCH json lost key {key}");
-    }
-    println!("wrote {out_path}");
+    let rows: Vec<Json> = sizes.iter().map(|&size| bench_size(size, reps)).collect();
+    run.write([
+        ("scale", "reduced".into()),
+        ("theta", 0.75.into()),
+        (
+            "units",
+            obj([("millis", format!("best-of-{reps} wall clock").into())]),
+        ),
+        ("sizes", rows.into()),
+    ])
+    .expect("artifact written");
 }

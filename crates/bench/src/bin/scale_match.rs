@@ -15,8 +15,9 @@
 //!   engine, and a threshold-tier engine with τ = θ (exact here because
 //!   Match runs single linkage with no GA constraints; DESIGN.md §14).
 //!   A full run also asserts that the lossless sparse solve takes at most
-//!   1.2x the dense one at every identity size, and stamps
-//!   `"meets_thresholds": true` into the JSON.
+//!   1.2x the dense one at every identity size — the median over the
+//!   alternating dense/sparse solve pairs of each pair's time ratio — and
+//!   stamps `"meets_thresholds": true` into the JSON.
 //! * **scale** — a universe size where the dense triangle does *not* fit
 //!   the memory budget: [`SimilarityMatrix::try_compute`] must refuse
 //!   before allocating (`"dense_refused": true`), and the sparse backend —
@@ -29,36 +30,19 @@
 //!   cargo run --release -p mube-bench --bin scale_match
 //!   cargo run --release -p mube-bench --bin scale_match -- --smoke --out target/BENCH_scale.smoke.json
 
-use std::fmt::Write as _;
-use std::time::{Duration, Instant};
-
+use mube_bench::{best_of, timed, Run};
 use mube_cluster::{match_sources, AttrSimilarity, MatchConfig};
 use mube_core::{Mube, MubeBuilder, ProblemSpec, SimBackend, SimBackendKind, SparseOptions};
 use mube_datagen::{ScaleConfig, ScaleUniverse};
 use mube_opt::Greedy;
 use mube_qef::Weights;
 use mube_schema::{attribute::normalize_name, AttrId, Constraints, SourceId, Universe};
+use mube_serve::json::{obj, Json};
 use mube_similarity::{NgramJaccard, SimilarityMatrix, SparseBuildStats};
 
 /// The full run's ceiling on an identity-tier sparse solve, as a multiple
 /// of the dense solve over the same universe.
 const MAX_SPARSE_SOLVE_RATIO: f64 = 1.2;
-
-/// Best-of-`reps` wall time of `run`, returning the last run's value.
-fn best_of<T>(reps: u32, mut run: impl FnMut() -> T) -> (f64, T) {
-    let mut best = Duration::MAX;
-    let mut value = None;
-    for _ in 0..reps {
-        let start = Instant::now();
-        let v = run();
-        let elapsed = start.elapsed();
-        if elapsed < best {
-            best = elapsed;
-        }
-        value = Some(v);
-    }
-    (best.as_secs_f64() * 1e3, value.expect("reps >= 1"))
-}
 
 /// The greedy-solve spec of both tiers: choose ≤ 8 sources under
 /// matching + cardinality weights (the universes carry no sketches, so
@@ -86,86 +70,86 @@ fn class_representatives(universe: &Universe, sim: &dyn AttrSimilarity) -> Vec<A
     seen.into_iter().flatten().collect()
 }
 
-/// Asserts two engines produce the identical greedy solution and returns
-/// `(dense-ish millis, sparse-ish millis, quality)`, each the best of
-/// `reps` solves. The engines take turns, so a shift in host speed during
-/// the measurement reaches both sides; every `Mube::solve` starts on a
-/// fresh arena, so each rep is a cold solve.
-fn solve_pair(reference: &Mube, candidate: &Mube, label: &str, reps: u32) -> (f64, f64, f64) {
+/// One engine pair's greedy solves, `reps` alternating pairs of them.
+struct SolvePair {
+    /// Best-of-`reps` wall time of the reference engine's solve.
+    reference_millis: f64,
+    /// Best-of-`reps` wall time of the candidate engine's solve.
+    candidate_millis: f64,
+    /// The median over the pairs of candidate / reference time: the two
+    /// solves of a pair run back to back, so a shift in host speed reaches
+    /// both sides of the ratio.
+    median_ratio: f64,
+    quality: f64,
+}
+
+/// Asserts two engines produce the identical greedy solution in each of
+/// `reps` pairs of solves, reference first, and times them. Every
+/// `Mube::solve` starts on a fresh arena, so each is a cold solve.
+fn solve_pair(reference: &Mube, candidate: &Mube, label: &str, reps: u32) -> SolvePair {
     let spec = scale_spec();
-    let solver = Greedy;
     let solve = |engine: &Mube| {
-        best_of(1, || {
+        timed(|| {
             engine
-                .solve(&spec, &solver, 0)
+                .solve(&spec, &Greedy, 0)
                 .expect("bench problems are feasible")
         })
     };
-    let (mut ref_millis, mut cand_millis) = (f64::INFINITY, f64::INFINITY);
-    let mut solutions = None;
-    for _ in 0..reps {
-        let (millis, ref_solution) = solve(reference);
-        ref_millis = ref_millis.min(millis);
-        let (millis, cand_solution) = solve(candidate);
-        cand_millis = cand_millis.min(millis);
-        solutions = Some((ref_solution, cand_solution));
+    let mut ratios = Vec::new();
+    let (mut reference_millis, mut candidate_millis) = (f64::INFINITY, f64::INFINITY);
+    let mut quality = 0.0;
+    for _ in 0..reps.max(1) {
+        let (ref_millis, ref_solution) = solve(reference);
+        let (cand_millis, cand_solution) = solve(candidate);
+        assert_eq!(
+            ref_solution.selected, cand_solution.selected,
+            "{label}: backends selected different sources"
+        );
+        assert_eq!(
+            ref_solution.schema, cand_solution.schema,
+            "{label}: backends produced different mediated schemas"
+        );
+        assert_eq!(
+            ref_solution.overall_quality.to_bits(),
+            cand_solution.overall_quality.to_bits(),
+            "{label}: solve quality not bit-identical ({} vs {})",
+            ref_solution.overall_quality,
+            cand_solution.overall_quality
+        );
+        reference_millis = reference_millis.min(ref_millis);
+        candidate_millis = candidate_millis.min(cand_millis);
+        ratios.push(cand_millis / ref_millis.max(1e-9));
+        quality = ref_solution.overall_quality;
     }
-    let (ref_solution, cand_solution) = solutions.expect("reps >= 1");
-    assert_eq!(
-        ref_solution.selected, cand_solution.selected,
-        "{label}: backends selected different sources"
-    );
-    assert_eq!(
-        ref_solution.schema, cand_solution.schema,
-        "{label}: backends produced different mediated schemas"
-    );
-    assert_eq!(
-        ref_solution.overall_quality.to_bits(),
-        cand_solution.overall_quality.to_bits(),
-        "{label}: solve quality not bit-identical ({} vs {})",
-        ref_solution.overall_quality,
-        cand_solution.overall_quality
-    );
-    (ref_millis, cand_millis, ref_solution.overall_quality)
+    ratios.sort_by(f64::total_cmp);
+    SolvePair {
+        reference_millis,
+        candidate_millis,
+        median_ratio: ratios[ratios.len() / 2],
+        quality,
+    }
 }
 
-fn stats_json(stats: &SparseBuildStats) -> String {
-    format!(
-        "{{\"dense_pairs\": {}, \"candidate_pairs\": {}, \"length_pruned\": {}, \
-         \"scored_pairs\": {}, \"score_pruned\": {}, \"kept_pairs\": {}, \
-         \"spill_runs\": {}, \"spilled_triples\": {}, \"spilled_bytes\": {}}}",
-        stats.dense_pairs,
-        stats.candidate_pairs,
-        stats.length_pruned,
-        stats.scored_pairs,
-        stats.score_pruned,
-        stats.kept_pairs,
-        stats.spill.runs,
-        stats.spill.spilled_triples,
-        stats.spill.spilled_bytes,
-    )
+fn stats_json(stats: &SparseBuildStats) -> Json {
+    obj([
+        ("dense_pairs", stats.dense_pairs.into()),
+        ("candidate_pairs", stats.candidate_pairs.into()),
+        ("length_pruned", stats.length_pruned.into()),
+        ("scored_pairs", stats.scored_pairs.into()),
+        ("score_pruned", stats.score_pruned.into()),
+        ("kept_pairs", stats.kept_pairs.into()),
+        ("spill_runs", stats.spill.runs.into()),
+        ("spilled_triples", stats.spill.spilled_triples.into()),
+        ("spilled_bytes", stats.spill.spilled_bytes.into()),
+    ])
 }
 
 // ---- identity tier ------------------------------------------------------
 
-struct Identity {
-    sources: usize,
-    attrs: usize,
-    distinct: usize,
-    dense_fill_millis: f64,
-    sparse_fill_millis: f64,
-    fill_speedup: f64,
-    pairs_checked: u64,
-    dense_solve_millis: f64,
-    sparse_solve_millis: f64,
-    solve_quality: f64,
-    tau: f64,
-    tau_solve_millis: f64,
-    tau_stats: SparseBuildStats,
-    lossless_stats: SparseBuildStats,
-}
-
-fn bench_identity(sources: usize, reps: u32) -> Identity {
+/// One identity-tier row; with `gate`, also asserts the sparse/dense
+/// solve-time ceiling.
+fn bench_identity(sources: usize, reps: u32, gate: bool) -> Json {
+    eprintln!("== identity tier, n = {sources} sources ==");
     let ScaleUniverse { universe, stats } = ScaleConfig::blocking_stress(sources, 42).generate();
     let measure = NgramJaccard::default();
 
@@ -204,28 +188,24 @@ fn bench_identity(sources: usize, reps: u32) -> Identity {
     }
 
     // Solve identity across the three engine configurations.
-    let dense_engine = MubeBuilder::new(&universe)
-        .sim_backend(SimBackend::Dense)
-        .try_build()
-        .expect("dense engine builds");
-    let sparse_engine = MubeBuilder::new(&universe)
-        .sim_backend(SimBackend::Sparse(SparseOptions::default()))
-        .try_build()
-        .expect("sparse engine builds");
-    let (dense_solve_millis, sparse_solve_millis, solve_quality) =
-        solve_pair(&dense_engine, &sparse_engine, "lossless tier", reps);
+    let engine = |backend: SimBackend| {
+        MubeBuilder::new(&universe)
+            .sim_backend(backend)
+            .try_build()
+            .expect("identity-tier engines build")
+    };
+    let dense_engine = engine(SimBackend::Dense);
+    let sparse_engine = engine(SimBackend::Sparse(SparseOptions::default()));
+    let lossless = solve_pair(&dense_engine, &sparse_engine, "lossless tier", reps);
 
     // Threshold tier at τ = θ: exact for this Match configuration (single
     // linkage, no GA constraints), so the solve must still be identical.
     let tau = scale_spec().match_config.theta;
-    let tau_engine = MubeBuilder::new(&universe)
-        .sim_backend(SimBackend::Sparse(SparseOptions {
-            tau: Some(tau),
-            ..SparseOptions::default()
-        }))
-        .try_build()
-        .expect("threshold-tier engine builds");
-    let (_, tau_solve_millis, _) = solve_pair(&dense_engine, &tau_engine, "threshold tier", reps);
+    let tau_engine = engine(SimBackend::Sparse(SparseOptions {
+        tau: Some(tau),
+        ..SparseOptions::default()
+    }));
+    let tau_solve = solve_pair(&dense_engine, &tau_engine, "threshold tier", reps);
     let tau_stats = *tau_engine
         .similarity()
         .sparse_stats()
@@ -235,44 +215,55 @@ fn bench_identity(sources: usize, reps: u32) -> Identity {
         "threshold tier must not keep more pairs than the lossless tier"
     );
 
-    Identity {
-        sources,
-        attrs: stats.total_attrs,
-        distinct: stats.distinct_names,
-        dense_fill_millis,
-        sparse_fill_millis,
-        fill_speedup: dense_fill_millis / sparse_fill_millis.max(1e-9),
-        pairs_checked,
-        dense_solve_millis,
-        sparse_solve_millis,
-        solve_quality,
-        tau,
-        tau_solve_millis,
-        tau_stats,
-        lossless_stats,
+    let fill_speedup = dense_fill_millis / sparse_fill_millis.max(1e-9);
+    // The sparse read path's target holds only for the timed full run on a
+    // quiet machine; the committed artifact carries the verdict.
+    if gate {
+        assert!(
+            lossless.median_ratio <= MAX_SPARSE_SOLVE_RATIO,
+            "n={sources}: sparse solve is {:.2}x dense in the median pair \
+             (limit {MAX_SPARSE_SOLVE_RATIO}x)",
+            lossless.median_ratio,
+        );
     }
+
+    obj([
+        ("sources", sources.into()),
+        ("attrs", stats.total_attrs.into()),
+        ("distinct", stats.distinct_names.into()),
+        ("dense_fill_millis", dense_fill_millis.into()),
+        ("sparse_fill_millis", sparse_fill_millis.into()),
+        ("fill_speedup", fill_speedup.into()),
+        ("pairs_checked", pairs_checked.into()),
+        ("bit_identical", true.into()),
+        ("lossless", stats_json(&lossless_stats)),
+        (
+            "solve",
+            obj([
+                ("greedy_m", 8u32.into()),
+                ("dense_millis", lossless.reference_millis.into()),
+                ("sparse_millis", lossless.candidate_millis.into()),
+                ("median_pair_ratio", lossless.median_ratio.into()),
+                ("quality", lossless.quality.into()),
+                ("solutions_identical", true.into()),
+            ]),
+        ),
+        (
+            "tau_arm",
+            obj([
+                ("tau", tau.into()),
+                ("solve_millis", tau_solve.candidate_millis.into()),
+                ("solutions_identical", true.into()),
+                ("counters", stats_json(&tau_stats)),
+            ]),
+        ),
+    ])
 }
 
 // ---- scale tier ---------------------------------------------------------
 
-struct ScaleRun {
-    sources: usize,
-    attrs: usize,
-    distinct: usize,
-    budget_bytes: u64,
-    dense_required_bytes: u128,
-    sparse_build_millis: f64,
-    sparse_stats: SparseBuildStats,
-    match_millis: f64,
-    match_gas: usize,
-    match_quality: f64,
-    match_rounds: u32,
-    solve_millis: f64,
-    solve_selected: usize,
-    solve_quality: f64,
-}
-
-fn bench_scale(sources: usize, budget_bytes: u64, max_buffered_triples: usize) -> ScaleRun {
+fn bench_scale(sources: usize, budget_bytes: u64, max_buffered_triples: usize) -> Json {
+    eprintln!("== scale tier, n = {sources} sources ==");
     let ScaleUniverse { universe, stats } = ScaleConfig::blocking_stress(sources, 7).generate();
     let measure = NgramJaccard::default();
 
@@ -296,9 +287,9 @@ fn bench_scale(sources: usize, budget_bytes: u64, max_buffered_triples: usize) -
         max_buffered_triples,
         spill_dir: Some(spill_dir.clone()),
     };
-    let (sparse_build_millis, engine) = best_of(1, || {
+    let (sparse_build_millis, engine) = timed(|| {
         MubeBuilder::new(&universe)
-            .sim_backend(SimBackend::Sparse(opts.clone()))
+            .sim_backend(SimBackend::Sparse(opts))
             .try_build()
             .expect("sparse engine builds at scale")
     });
@@ -316,47 +307,57 @@ fn bench_scale(sources: usize, budget_bytes: u64, max_buffered_triples: usize) -
     // driven by the sparse neighbor lists.
     let all: Vec<SourceId> = universe.all_ids().into_iter().collect();
     let config = MatchConfig::default();
-    let constraints = Constraints::default();
-    let (match_millis, outcome) = best_of(1, || {
-        match_sources(&universe, &all, &constraints, &config, engine.similarity())
-            .expect("unconstrained Match never returns null")
+    let (match_millis, outcome) = timed(|| {
+        match_sources(
+            &universe,
+            &all,
+            &Constraints::default(),
+            &config,
+            engine.similarity(),
+        )
+        .expect("unconstrained Match never returns null")
     });
 
     // Greedy m = 8 solve over the full candidate set.
-    let spec = scale_spec();
-    let (solve_millis, solution) = best_of(1, || {
+    let (solve_millis, solution) = timed(|| {
         engine
-            .solve(&spec, &Greedy, 0)
+            .solve(&scale_spec(), &Greedy, 0)
             .expect("bench problems are feasible")
     });
 
-    ScaleRun {
-        sources,
-        attrs: stats.total_attrs,
-        distinct: stats.distinct_names,
-        budget_bytes,
-        dense_required_bytes: refusal.required_bytes,
-        sparse_build_millis,
-        sparse_stats,
-        match_millis,
-        match_gas: outcome.schema.len(),
-        match_quality: outcome.quality,
-        match_rounds: outcome.rounds,
-        solve_millis,
-        solve_selected: solution.selected.len(),
-        solve_quality: solution.overall_quality,
-    }
+    obj([
+        ("sources", sources.into()),
+        ("attrs", stats.total_attrs.into()),
+        ("distinct", stats.distinct_names.into()),
+        ("budget_bytes", budget_bytes.into()),
+        ("dense_required_bytes", refusal.required_bytes.into()),
+        ("dense_refused", true.into()),
+        ("sparse_build_millis", sparse_build_millis.into()),
+        ("counters", stats_json(&sparse_stats)),
+        (
+            "match",
+            obj([
+                ("theta", config.theta.into()),
+                ("millis", match_millis.into()),
+                ("gas", outcome.schema.len().into()),
+                ("rounds", outcome.rounds.into()),
+                ("quality", outcome.quality.into()),
+            ]),
+        ),
+        (
+            "solve",
+            obj([
+                ("greedy_m", 8u32.into()),
+                ("millis", solve_millis.into()),
+                ("selected", solution.selected.len().into()),
+                ("quality", solution.overall_quality.into()),
+            ]),
+        ),
+    ])
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    let smoke = args.iter().any(|a| a == "--smoke");
-    let out_path = args
-        .iter()
-        .position(|a| a == "--out")
-        .and_then(|i| args.get(i + 1))
-        .cloned()
-        .unwrap_or_else(|| "BENCH_scale.json".to_owned());
+    let run = Run::from_args("scale_match").expect("usage: [--smoke] [--out <path>]");
     // Identity sizes keep the dense triangle buildable; the scale size is
     // chosen so it is not (10k blocking-stress sources produce far more
     // distinct names than a 64 MiB triangle can hold). The tiny spill
@@ -367,147 +368,33 @@ fn main() {
         u64,
         usize,
         u32,
-    ) = if smoke {
+    ) = if run.smoke {
         (&[200], 1_000, 1 << 20, 1 << 14, 1)
     } else {
         (&[500, 2_000], 10_000, 64 << 20, 1 << 18, 5)
     };
 
-    eprintln!(
-        "== scale_match ({}) ==",
-        if smoke { "smoke" } else { "full" }
-    );
-
-    let mut identity_rows = Vec::new();
-    for &sources in identity_sizes {
-        let row = bench_identity(sources, reps);
-        eprintln!(
-            "  identity n={}: {} attrs / {} distinct; fill dense {:.2} ms vs sparse {:.2} ms \
-             ({:.2}x); {} pairs bit-identical; solves identical (dense {:.1} ms, sparse {:.1} ms, \
-             tau {:.1} ms)",
-            row.sources,
-            row.attrs,
-            row.distinct,
-            row.dense_fill_millis,
-            row.sparse_fill_millis,
-            row.fill_speedup,
-            row.pairs_checked,
-            row.dense_solve_millis,
-            row.sparse_solve_millis,
-            row.tau_solve_millis,
-        );
-        identity_rows.push(row);
-    }
-
+    let identity: Vec<Json> = identity_sizes
+        .iter()
+        .map(|&sources| bench_identity(sources, reps, !run.smoke))
+        .collect();
     let scale = bench_scale(scale_sources, budget_bytes, spill_buffer);
-    eprintln!(
-        "  scale n={}: {} attrs / {} distinct; dense refused ({} B > {} B budget); sparse build \
-         {:.1} ms ({} runs spilled); Match {:.1} ms ({} GAs, {} rounds); greedy solve {:.1} ms \
-         ({} sources, Q={:.4})",
-        scale.sources,
-        scale.attrs,
-        scale.distinct,
-        scale.dense_required_bytes,
-        scale.budget_bytes,
-        scale.sparse_build_millis,
-        scale.sparse_stats.spill.runs,
-        scale.match_millis,
-        scale.match_gas,
-        scale.match_rounds,
-        scale.solve_millis,
-        scale.solve_selected,
-        scale.solve_quality,
-    );
-
-    let mut json = String::new();
-    let _ = write!(
-        json,
-        "{{\n  \"bench\": \"scale_match\",\n  \"mode\": \"{}\",\n  \
-         \"units\": {{\"millis\": \"best-of-{} wall clock (identity tier); single scale-tier runs\"}},\n  \
-         \"identity\": [",
-        if smoke { "smoke" } else { "full" },
-        reps,
-    );
-    for (k, row) in identity_rows.iter().enumerate() {
-        let _ = write!(
-            json,
-            "{}\n    {{\"sources\": {}, \"attrs\": {}, \"distinct\": {}, \
-             \"dense_fill_millis\": {:.3}, \"sparse_fill_millis\": {:.3}, \
-             \"fill_speedup\": {:.3}, \"pairs_checked\": {}, \"bit_identical\": true,\n     \
-             \"lossless\": {},\n     \
-             \"solve\": {{\"greedy_m\": 8, \"dense_millis\": {:.3}, \"sparse_millis\": {:.3}, \
-             \"quality\": {:.6}, \"solutions_identical\": true}},\n     \
-             \"tau_arm\": {{\"tau\": {:.2}, \"solve_millis\": {:.3}, \
-             \"solutions_identical\": true, \"counters\": {}}}}}",
-            if k == 0 { "" } else { "," },
-            row.sources,
-            row.attrs,
-            row.distinct,
-            row.dense_fill_millis,
-            row.sparse_fill_millis,
-            row.fill_speedup,
-            row.pairs_checked,
-            stats_json(&row.lossless_stats),
-            row.dense_solve_millis,
-            row.sparse_solve_millis,
-            row.solve_quality,
-            row.tau,
-            row.tau_solve_millis,
-            stats_json(&row.tau_stats),
-        );
-    }
-    let _ = write!(
-        json,
-        "\n  ],\n  \"scale\": {{\"sources\": {}, \"attrs\": {}, \"distinct\": {}, \
-         \"budget_bytes\": {}, \"dense_required_bytes\": {}, \"dense_refused\": true,\n    \
-         \"sparse_build_millis\": {:.3}, \"counters\": {},\n    \
-         \"match\": {{\"theta\": 0.75, \"millis\": {:.3}, \"gas\": {}, \"rounds\": {}, \
-         \"quality\": {:.6}}},\n    \
-         \"solve\": {{\"greedy_m\": 8, \"millis\": {:.3}, \"selected\": {}, \
-         \"quality\": {:.6}}}}}",
-        scale.sources,
-        scale.attrs,
-        scale.distinct,
-        scale.budget_bytes,
-        scale.dense_required_bytes,
-        scale.sparse_build_millis,
-        stats_json(&scale.sparse_stats),
-        scale.match_millis,
-        scale.match_gas,
-        scale.match_rounds,
-        scale.match_quality,
-        scale.solve_millis,
-        scale.solve_selected,
-        scale.solve_quality,
-    );
-    if smoke {
-        json.push_str("\n}\n");
-    } else {
-        // The sparse read path's target holds only for the timed full run
-        // on a quiet machine; the committed artifact carries the verdict and
-        // check.sh greps for it.
-        for row in &identity_rows {
-            let ratio = row.sparse_solve_millis / row.dense_solve_millis;
-            assert!(
-                ratio <= MAX_SPARSE_SOLVE_RATIO,
-                "n={}: sparse solve {:.1} ms is {ratio:.2}x dense {:.1} ms (limit {MAX_SPARSE_SOLVE_RATIO}x)",
-                row.sources,
-                row.sparse_solve_millis,
-                row.dense_solve_millis,
-            );
-        }
-        json.push_str(",\n  \"meets_thresholds\": true\n}\n");
-    }
-    std::fs::write(&out_path, &json).expect("write BENCH json");
-    for key in [
-        "identity",
-        "scale",
-        "bit_identical",
-        "dense_refused",
-        "candidate_pairs",
-        "solutions_identical",
-    ] {
-        assert!(json.contains(key), "JSON schema lost key {key}");
-    }
-    eprintln!("  wrote {out_path}");
+    let verdict = (!run.smoke).then(|| ("meets_thresholds", true.into()));
+    run.write(
+        [
+            (
+                "units",
+                obj([(
+                    "millis",
+                    format!("best-of-{reps} wall clock (identity tier); single scale-tier runs")
+                        .into(),
+                )]),
+            ),
+            ("identity", identity.into()),
+            ("scale", scale),
+        ]
+        .into_iter()
+        .chain(verdict),
+    )
+    .expect("artifact written");
 }

@@ -26,7 +26,7 @@ fn main() {
     let m = 20;
 
     let baseline_spec = paper_spec(m);
-    let (baseline, _) = timed_solve(&mube, &baseline_spec, &solver, 7);
+    let (_, baseline) = timed_solve(&mube, &baseline_spec, &solver, 7);
 
     let trials = 10u64;
     let mut rng = StdRng::seed_from_u64(1234);
@@ -47,7 +47,7 @@ fn main() {
             warm_start: Some(baseline.selected.iter().map(|s| s.index()).collect()),
             ..TabuSearch::default()
         };
-        let (solution, _) = timed_solve(&mube, &spec, &warm, 7);
+        let (_, solution) = timed_solve(&mube, &spec, &warm, 7);
         let ga_changes = baseline.schema.ga_changes(&solution.schema);
         let source_changes = baseline
             .selected

@@ -34,14 +34,14 @@
 //!   cargo run --release -p mube-bench --bin session_iterate
 //!   cargo run --release -p mube-bench --bin session_iterate -- --smoke --out target/BENCH_session.smoke.json
 
-use std::fmt::Write as _;
-use std::time::Instant;
-
-use mube_bench::{engine, paper_spec, source_constraints, universe, Scale};
+use mube_bench::{
+    engine, fingerprint, paper_spec, source_constraints, timed, universe, Run, Scale,
+};
 use mube_core::{Session, Solution, SpecDelta};
 use mube_opt::Greedy;
 use mube_qef::Weights;
 use mube_schema::SourceId;
+use mube_serve::json::{obj, Json};
 
 /// One scripted feedback edit, applied before the corresponding iteration.
 enum Feedback {
@@ -126,30 +126,19 @@ fn run_session(
     let mut out = Vec::new();
     for step in script(pin) {
         step.apply(&mut session);
-        let start = Instant::now();
-        let solution = session.iterate().expect("scripted trace is feasible");
-        out.push((start.elapsed().as_secs_f64() * 1e3, solution.clone()));
+        let (millis, solution) = timed(|| session.iterate().expect("scripted trace is feasible"));
+        out.push((millis, solution.clone()));
     }
     let entries = session.arena().len();
     (out, entries)
 }
 
-/// The determinism fingerprint of one history: everything the arena could
-/// conceivably perturb, with qualities compared by bit pattern.
-fn fingerprint(history: &[(f64, Solution)]) -> Vec<(Vec<SourceId>, u64, String)> {
-    history
-        .iter()
-        .map(|(_, s)| {
-            (
-                s.selected.clone(),
-                s.overall_quality.to_bits(),
-                s.schema.to_string(),
-            )
-        })
-        .collect()
+/// The solutions of a timed history, in order.
+fn solutions(history: &[(f64, Solution)]) -> impl Iterator<Item = &Solution> {
+    history.iter().map(|(_, s)| s)
 }
 
-fn bench_size(size: usize, reps: u32, out: &mut String) {
+fn bench_size(size: usize, reps: u32) -> Json {
     eprintln!("== n = {size} sources ==");
     let generated = universe(size, 7, Scale::Reduced);
     let mube = engine(&generated);
@@ -161,24 +150,26 @@ fn bench_size(size: usize, reps: u32, out: &mut String) {
     // other — the arena's bit-identity contract, asserted on every run.
     let (mut cold, _) = run_session(&mube, pin, seed, false);
     let (mut warm, mut arena_entries) = run_session(&mube, pin, seed, true);
+    let expected = fingerprint(solutions(&cold));
     assert_eq!(
-        fingerprint(&cold),
-        fingerprint(&warm),
+        expected,
+        fingerprint(solutions(&warm)),
         "arena-backed session diverged from cold session"
     );
     for _ in 1..reps {
         let (cold_again, _) = run_session(&mube, pin, seed, false);
         let (warm_again, entries) = run_session(&mube, pin, seed, true);
         assert_eq!(
-            fingerprint(&cold),
-            fingerprint(&cold_again),
+            expected,
+            fingerprint(solutions(&cold_again)),
             "cold session not reproducible"
         );
         assert_eq!(
-            fingerprint(&warm),
-            fingerprint(&warm_again),
+            expected,
+            fingerprint(solutions(&warm_again)),
             "arena session not reproducible"
         );
+        // Each iteration keeps its fastest time across the repetitions.
         for (best, again) in cold.iter_mut().zip(cold_again) {
             best.0 = best.0.min(again.0);
         }
@@ -198,109 +189,92 @@ fn bench_size(size: usize, reps: u32, out: &mut String) {
     let (cold_ms, cold_matches, cold_evals) = totals(&cold);
     let (warm_ms, warm_matches, warm_evals) = totals(&warm);
     let speedup = cold_ms / warm_ms.max(1e-9);
-    eprintln!(
-        "  cold {cold_ms:.1} ms ({cold_matches} Match) | arena {warm_ms:.1} ms \
-         ({warm_matches} Match, {arena_entries} entries) | speedup {speedup:.2}x"
-    );
 
-    let steps: Vec<String> = script(pin)
-        .iter()
+    let steps = script(pin)
+        .into_iter()
         .zip(cold.iter().zip(&warm))
         .enumerate()
         .map(|(i, (step, ((cold_ms, cold_sol), (warm_ms, warm_sol))))| {
             let ws = &warm_sol.stats;
-            format!(
-                "      {{\"step\": {}, \"feedback\": \"{}\", \"spec_delta\": \"{}\", \
-                 \"quality\": {:.6}, \"warm_start\": {}, \
-                 \"cold\": {{\"millis\": {:.3}, \"match_calls\": {}}}, \
-                 \"arena\": {{\"millis\": {:.3}, \"match_calls\": {}, \"cache_hits\": {}, \
-                 \"reused\": {}, \"recombined\": {}, \"invalidated\": {}}}}}",
-                i + 1,
-                step.label(),
-                delta_name(ws.spec_delta),
-                warm_sol.overall_quality,
-                ws.warm_start,
-                cold_ms,
-                cold_sol.stats.match_calls,
-                warm_ms,
-                ws.match_calls,
-                ws.cache_hits,
-                ws.reused,
-                ws.recombined,
-                ws.invalidated,
-            )
-        })
-        .collect();
+            obj([
+                ("step", (i + 1).into()),
+                ("feedback", step.label().into()),
+                ("spec_delta", delta_name(ws.spec_delta).into()),
+                ("quality", warm_sol.overall_quality.into()),
+                ("warm_start", ws.warm_start.into()),
+                (
+                    "cold",
+                    obj([
+                        ("millis", (*cold_ms).into()),
+                        ("match_calls", cold_sol.stats.match_calls.into()),
+                    ]),
+                ),
+                (
+                    "arena",
+                    obj([
+                        ("millis", (*warm_ms).into()),
+                        ("match_calls", ws.match_calls.into()),
+                        ("cache_hits", ws.cache_hits.into()),
+                        ("reused", ws.reused.into()),
+                        ("recombined", ws.recombined.into()),
+                        ("invalidated", ws.invalidated.into()),
+                    ]),
+                ),
+            ])
+        });
 
-    let _ = write!(
-        out,
-        "    {{\"sources\": {}, \"attrs\": {}, \
-         \"cold\": {{\"total_millis\": {:.3}, \"match_calls\": {}, \"evaluations\": {}}}, \
-         \"arena\": {{\"total_millis\": {:.3}, \"match_calls\": {}, \"evaluations\": {}, \
-         \"final_entries\": {}}}, \
-         \"speedup_session\": {:.3}, \
-         \"iterations\": [\n{}\n    ]}}",
-        size,
-        generated.universe.total_attrs(),
-        cold_ms,
-        cold_matches,
-        cold_evals,
-        warm_ms,
-        warm_matches,
-        warm_evals,
-        arena_entries,
-        speedup,
-        steps.join(",\n"),
-    );
+    obj([
+        ("sources", size.into()),
+        ("attrs", generated.universe.total_attrs().into()),
+        (
+            "cold",
+            obj([
+                ("total_millis", cold_ms.into()),
+                ("match_calls", cold_matches.into()),
+                ("evaluations", cold_evals.into()),
+            ]),
+        ),
+        (
+            "arena",
+            obj([
+                ("total_millis", warm_ms.into()),
+                ("match_calls", warm_matches.into()),
+                ("evaluations", warm_evals.into()),
+                ("final_entries", arena_entries.into()),
+            ]),
+        ),
+        ("speedup_session", speedup.into()),
+        ("iterations", Json::Arr(steps.collect())),
+    ])
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    let smoke = args.iter().any(|a| a == "--smoke");
-    let out_path = args
-        .iter()
-        .position(|a| a == "--out")
-        .and_then(|i| args.get(i + 1))
-        .cloned()
-        .unwrap_or_else(|| "BENCH_session.json".to_owned());
-    let (sizes, reps): (&[usize], u32) = if smoke {
+    let run = Run::from_args("session_iterate").expect("usage: [--smoke] [--out <path>]");
+    let (sizes, reps): (&[usize], u32) = if run.smoke {
         (&[40], 1)
     } else {
         (&[100, 200, 400], 2)
     };
-
-    let mut body = String::new();
-    for (i, &size) in sizes.iter().enumerate() {
-        if i > 0 {
-            body.push_str(",\n");
-        }
-        bench_size(size, reps, &mut body);
-    }
-    let json = format!(
-        "{{\n  \"bench\": \"session_iterate\",\n  \"mode\": \"{}\",\n  \"scale\": \"reduced\",\n  \
-         \"iterations_per_session\": 6,\n  \
-         \"determinism\": \"cold and arena histories bit-identical, reruns byte-equal (asserted every run)\",\n  \
-         \"units\": {{\"millis\": \"best-of-reps wall clock per iteration\"}},\n  \
-         \"note\": \"speedup_session is whole-trace cold vs arena; weights_only steps recombine cached component vectors instead of rerunning Match wherever the greedy path revisits a subset (down to zero Match calls when the path fully coincides)\",\n  \
-         \"sizes\": [\n{}\n  ]\n}}\n",
-        if smoke { "smoke" } else { "full" },
-        body
-    );
-    std::fs::write(&out_path, &json).expect("write BENCH json");
-    // Cheap schema-rot guard: the artifact must contain every key a reader
-    // of the perf trajectory greps for.
-    for key in [
-        "speedup_session",
-        "spec_delta",
-        "weights_only",
-        "match_invalidating",
-        "recombined",
-        "invalidated",
-        "warm_start",
-        "determinism",
-        "final_entries",
-    ] {
-        assert!(json.contains(key), "BENCH json lost key {key}");
-    }
-    println!("wrote {out_path}");
+    let rows: Vec<Json> = sizes.iter().map(|&size| bench_size(size, reps)).collect();
+    run.write([
+        ("scale", "reduced".into()),
+        ("iterations_per_session", script(SourceId(0)).len().into()),
+        (
+            "determinism",
+            "cold and arena histories bit-identical, reruns byte-equal (asserted every run)".into(),
+        ),
+        (
+            "units",
+            obj([("millis", "best-of-reps wall clock per iteration".into())]),
+        ),
+        (
+            "note",
+            "speedup_session is whole-trace cold vs arena; weights_only steps recombine cached \
+             component vectors instead of rerunning Match wherever the greedy path revisits a \
+             subset (down to zero Match calls when the path fully coincides)"
+                .into(),
+        ),
+        ("sizes", rows.into()),
+    ])
+    .expect("artifact written");
 }

@@ -16,37 +16,19 @@
 //!
 //! A full run additionally asserts the acceptance thresholds (≥ 3x pairwise,
 //! ≥ 2x matrix fill) and stamps `"meets_thresholds": true` into the JSON;
-//! `scripts/check.sh` greps the committed artifact for that flag and re-runs
-//! the bit-identity assertions via `--smoke`.
+//! the bench contract requires that flag of every full-run artifact, and
+//! `scripts/check.sh` re-runs the bit-identity assertions via `--smoke`.
 //!
 //! Usage:
 //!   cargo run --release -p mube-bench --bin sim_kernels
 //!   cargo run --release -p mube-bench --bin sim_kernels -- --smoke --out target/BENCH_kernels.smoke.json
 
-use std::fmt::Write as _;
-use std::time::{Duration, Instant};
-
-use mube_bench::{universe, Scale};
+use mube_bench::{best_of, universe, Run, Scale};
 use mube_schema::{attribute::normalize_name, SourceId, SourceSelection};
+use mube_serve::json::{obj, Json};
 use mube_similarity::{GramIndex, GramKind, NgramJaccard, SimilarityMatrix, SimilarityMeasure};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-
-/// Best-of-`reps` wall time of `run`, returning the last run's value.
-fn best_of<T>(reps: u32, mut run: impl FnMut() -> T) -> (f64, T) {
-    let mut best = Duration::MAX;
-    let mut value = None;
-    for _ in 0..reps {
-        let start = Instant::now();
-        let v = run();
-        let elapsed = start.elapsed();
-        if elapsed < best {
-            best = elapsed;
-        }
-        value = Some(v);
-    }
-    (best.as_secs_f64() * 1e3, value.expect("reps >= 1"))
-}
 
 /// The distinct normalized attribute names of a generated universe, in
 /// first-seen order, capped at `max` for the quadratic arms.
@@ -69,14 +51,8 @@ fn distinct_names(sources: usize, max: usize) -> Vec<String> {
 
 // ---- pairwise Jaccard ---------------------------------------------------
 
-struct Pairwise {
-    pairs: usize,
-    string_millis: f64,
-    packed_millis: f64,
-    speedup: f64,
-}
-
-fn bench_pairwise(names: &[String], reps: u32) -> Pairwise {
+/// The pairwise arm; `gate` holds it to its acceptance threshold (≥ 3x).
+fn bench_pairwise(names: &[String], reps: u32, gate: bool) -> Json {
     let measure = NgramJaccard::default();
     let d = names.len();
     let (string_millis, string_scores) = best_of(reps, || {
@@ -108,22 +84,22 @@ fn bench_pairwise(names: &[String], reps: u32) -> Pairwise {
             "pairwise bit-identity broken at pair {k}: string {s} vs packed {p}"
         );
     }
-    Pairwise {
-        pairs: string_scores.len(),
-        string_millis,
-        packed_millis,
-        speedup: string_millis / packed_millis.max(1e-9),
-    }
+    let speedup = string_millis / packed_millis.max(1e-9);
+    assert!(
+        !gate || speedup >= 3.0,
+        "pairwise jaccard below threshold: {speedup:.2}x < 3x"
+    );
+    obj([
+        ("names", d.into()),
+        ("pairs", string_scores.len().into()),
+        ("string_millis", string_millis.into()),
+        ("packed_millis", packed_millis.into()),
+        ("speedup", speedup.into()),
+        ("bit_identical", true.into()),
+    ])
 }
 
 // ---- matrix fill --------------------------------------------------------
-
-struct MatrixFill {
-    distinct: usize,
-    pre_pr_millis: f64,
-    packed_millis: f64,
-    speedup: f64,
-}
 
 /// The pre-PR `SimilarityMatrix` fill, ported faithfully: one signature per
 /// distinct name, then a serial packed-triangle fill where every pair runs
@@ -146,7 +122,8 @@ fn pre_pr_fill(names: &[String], measure: &dyn SimilarityMeasure) -> Vec<f32> {
     tri
 }
 
-fn bench_matrix(names: &[String], reps: u32) -> MatrixFill {
+/// The matrix-fill arm; `gate` holds it to its acceptance threshold (≥ 2x).
+fn bench_matrix(names: &[String], reps: u32, gate: bool) -> Json {
     let measure = NgramJaccard::default();
     let (pre_pr_millis, reference) = best_of(reps, || pre_pr_fill(names, &measure));
     let (packed_millis, matrix) = best_of(reps, || SimilarityMatrix::compute(names, &measure));
@@ -164,24 +141,23 @@ fn bench_matrix(names: &[String], reps: u32) -> MatrixFill {
             );
         }
     }
-    MatrixFill {
-        distinct: names.len(),
-        pre_pr_millis,
-        packed_millis,
-        speedup: pre_pr_millis / packed_millis.max(1e-9),
-    }
+    let speedup = pre_pr_millis / packed_millis.max(1e-9);
+    assert!(
+        !gate || speedup >= 2.0,
+        "matrix fill below threshold: {speedup:.2}x < 2x"
+    );
+    obj([
+        ("distinct", names.len().into()),
+        ("pre_pr_millis", pre_pr_millis.into()),
+        ("packed_millis", packed_millis.into()),
+        ("speedup", speedup.into()),
+        ("bit_identical", true.into()),
+    ])
 }
 
 // ---- selection algebra --------------------------------------------------
 
-struct SelectionOps {
-    selections: usize,
-    scalar_millis: f64,
-    packed_millis: f64,
-    speedup: f64,
-}
-
-fn bench_selections(universe_size: usize, count: usize, reps: u32) -> SelectionOps {
+fn bench_selections(universe_size: usize, count: usize, reps: u32) -> Json {
     let mut rng = StdRng::seed_from_u64(11);
     let selections: Vec<SourceSelection> = (0..count)
         .map(|_| {
@@ -231,26 +207,22 @@ fn bench_selections(universe_size: usize, count: usize, reps: u32) -> SelectionO
         scalar_sums, packed_sums,
         "selection kernels disagree with scalar loops"
     );
-    SelectionOps {
-        selections: count,
-        scalar_millis,
-        packed_millis,
-        speedup: scalar_millis / packed_millis.max(1e-9),
-    }
+    let speedup = scalar_millis / packed_millis.max(1e-9);
+    obj([
+        ("universe", universe_size.into()),
+        ("selections", count.into()),
+        ("scalar_millis", scalar_millis.into()),
+        ("packed_millis", packed_millis.into()),
+        ("speedup", speedup.into()),
+        ("results_equal", true.into()),
+    ])
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    let smoke = args.iter().any(|a| a == "--smoke");
-    let out_path = args
-        .iter()
-        .position(|a| a == "--out")
-        .and_then(|i| args.get(i + 1))
-        .cloned()
-        .unwrap_or_else(|| "BENCH_kernels.json".to_owned());
+    let run = Run::from_args("sim_kernels").expect("usage: [--smoke] [--out <path>]");
     // 400 sources is the acceptance scale; the name cap bounds the
     // quadratic arms (the universe's distinct-name pool is smaller anyway).
-    let (sources, name_cap, sel_count, reps) = if smoke {
+    let (sources, name_cap, sel_count, reps) = if run.smoke {
         (40, 60, 64, 1)
     } else {
         (400, 400, 512, 9)
@@ -258,83 +230,24 @@ fn main() {
 
     let names = distinct_names(sources, name_cap);
     eprintln!(
-        "== sim_kernels ({}) : {} distinct names from {} sources ==",
-        if smoke { "smoke" } else { "full" },
-        names.len(),
-        sources
+        "== {} distinct names from {sources} sources ==",
+        names.len()
     );
 
-    let pairwise = bench_pairwise(&names, reps);
-    eprintln!(
-        "  pairwise jaccard: string {:.2} ms, packed {:.2} ms ({:.2}x) over {} pairs",
-        pairwise.string_millis, pairwise.packed_millis, pairwise.speedup, pairwise.pairs
-    );
-    let matrix = bench_matrix(&names, reps);
-    eprintln!(
-        "  matrix fill: pre-PR {:.2} ms, packed {:.2} ms ({:.2}x) over {} names",
-        matrix.pre_pr_millis, matrix.packed_millis, matrix.speedup, matrix.distinct
-    );
-    let selections = bench_selections(sources, sel_count, reps);
-    eprintln!(
-        "  selection ops: scalar {:.3} ms, packed {:.3} ms ({:.2}x)",
-        selections.scalar_millis, selections.packed_millis, selections.speedup
-    );
-
-    let mut json = String::new();
-    let _ = write!(
-        json,
-        "{{\n  \"bench\": \"sim_kernels\",\n  \"mode\": \"{}\",\n  \"scale\": \"reduced\",\n  \
-         \"units\": {{\"millis\": \"best-of-{} wall clock\"}},\n  \
-         \"pairwise_jaccard\": {{\"names\": {}, \"pairs\": {}, \"string_millis\": {:.3}, \
-         \"packed_millis\": {:.3}, \"speedup\": {:.3}, \"bit_identical\": true}},\n  \
-         \"matrix_fill\": {{\"distinct\": {}, \"pre_pr_millis\": {:.3}, \
-         \"packed_millis\": {:.3}, \"speedup\": {:.3}, \"bit_identical\": true}},\n  \
-         \"selection_ops\": {{\"universe\": {}, \"selections\": {}, \"scalar_millis\": {:.3}, \
-         \"packed_millis\": {:.3}, \"speedup\": {:.3}, \"results_equal\": true}}",
-        if smoke { "smoke" } else { "full" },
-        reps,
-        names.len(),
-        pairwise.pairs,
-        pairwise.string_millis,
-        pairwise.packed_millis,
-        pairwise.speedup,
-        matrix.distinct,
-        matrix.pre_pr_millis,
-        matrix.packed_millis,
-        matrix.speedup,
-        sources,
-        selections.selections,
-        selections.scalar_millis,
-        selections.packed_millis,
-        selections.speedup,
-    );
-    if smoke {
-        json.push_str("\n}\n");
-    } else {
-        // Acceptance thresholds hold only for the timed full run on a quiet
-        // machine; the committed artifact carries the verdict and check.sh
-        // greps for it.
-        assert!(
-            pairwise.speedup >= 3.0,
-            "pairwise jaccard below threshold: {:.2}x < 3x",
-            pairwise.speedup
-        );
-        assert!(
-            matrix.speedup >= 2.0,
-            "matrix fill below threshold: {:.2}x < 2x",
-            matrix.speedup
-        );
-        json.push_str(",\n  \"meets_thresholds\": true\n}\n");
-    }
-    std::fs::write(&out_path, &json).expect("write BENCH json");
-    for key in [
-        "pairwise_jaccard",
-        "matrix_fill",
-        "selection_ops",
-        "bit_identical",
-        "speedup",
-    ] {
-        assert!(json.contains(key), "BENCH json lost key {key}");
-    }
-    println!("wrote {out_path}");
+    // The acceptance thresholds hold only for the timed full run on a quiet
+    // machine; the committed artifact carries the verdict.
+    let gate = !run.smoke;
+    let body = [
+        ("scale", "reduced".into()),
+        (
+            "units",
+            obj([("millis", format!("best-of-{reps} wall clock").into())]),
+        ),
+        ("pairwise_jaccard", bench_pairwise(&names, reps, gate)),
+        ("matrix_fill", bench_matrix(&names, reps, gate)),
+        ("selection_ops", bench_selections(sources, sel_count, reps)),
+    ];
+    let verdict = gate.then(|| ("meets_thresholds", true.into()));
+    run.write(body.into_iter().chain(verdict))
+        .expect("artifact written");
 }

@@ -20,7 +20,7 @@ fn main() {
     let mut rows = Vec::new();
     let mut any_false = 0usize;
     for m in [10usize, 20, 30, 40, 50] {
-        let (solution, _) = timed_solve(&mube, &paper_spec(m), &solver, 7);
+        let (_, solution) = timed_solve(&mube, &paper_spec(m), &solver, 7);
         let score = generated
             .ground_truth
             .score(&solution.schema, solution.selected.iter().copied());
@@ -50,7 +50,7 @@ fn main() {
     );
 
     if std::env::args().any(|a| a == "--concepts") {
-        let (solution, _) = timed_solve(&mube, &paper_spec(50), &solver, 7);
+        let (_, solution) = timed_solve(&mube, &paper_spec(50), &solver, 7);
         let report = generated
             .ground_truth
             .concept_report(&solution.schema, solution.selected.iter().copied());

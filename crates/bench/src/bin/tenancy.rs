@@ -6,8 +6,7 @@
 //! * **Amortization** — the snapshot (interning, gram signatures, the
 //!   similarity triangle, sketches) is built once per universe and shared
 //!   by `Arc`, so its cost divides across every session served. The
-//!   harness reports the build cost next to the mean session cost: the
-//!   ratio is how many sessions it takes for the build to stop mattering.
+//!   harness reports the build cost next to the mean session cost.
 //! * **Tenancy scaling** — sessions share nothing mutable, so N sessions
 //!   on N threads should cost roughly one session's wall clock, not N.
 //!   The harness runs the same 8-session workload serially (one thread,
@@ -21,20 +20,20 @@
 //! quality bits, schema) to the serial ones, and that per-session arena
 //! entry counts match — concurrency must change wall clock only, never
 //! results and never another session's memo store. The artifact carries
-//! `"replay_bit_identical": true` only because that assertion passed;
-//! `scripts/check.sh` greps for it.
+//! `"replay_bit_identical": true` only because that assertion passed, and
+//! the bench contract requires it of every row.
 //!
 //! Usage:
 //!   cargo run --release -p mube-bench --bin tenancy
 //!   cargo run --release -p mube-bench --bin tenancy -- --smoke --out target/BENCH_tenancy.smoke.json
 
-use std::fmt::Write as _;
-use std::time::Instant;
-
-use mube_bench::{engine, paper_spec, source_constraints, universe, Scale};
+use mube_bench::{
+    engine, fingerprint, paper_spec, source_constraints, timed, universe, Fingerprint, Run, Scale,
+};
 use mube_core::{Mube, Session, Solution};
 use mube_qef::Weights;
 use mube_schema::SourceId;
+use mube_serve::json::{obj, Json};
 
 const SESSIONS: usize = 8;
 const ITERATIONS: usize = 3;
@@ -42,49 +41,35 @@ const ITERATIONS: usize = 3;
 /// Runs one scripted session to completion. Returns its history, its wall
 /// clock in milliseconds, and the final arena entry count.
 fn run_session(mube: &Mube, pin: SourceId, seed: u64) -> (Vec<Solution>, f64, usize) {
-    let start = Instant::now();
-    let mut session = Session::new(mube, paper_spec(5)).with_seed(seed);
-    let mut history = Vec::with_capacity(ITERATIONS);
-    for step in 0..ITERATIONS {
-        match step {
-            1 => {
-                session.set_weights(
-                    Weights::new([
-                        ("matching", 0.24),
-                        ("cardinality", 0.26),
-                        ("coverage", 0.20),
-                        ("redundancy", 0.15),
-                        ("mttf", 0.15),
-                    ])
-                    .expect("script weights are valid"),
-                );
+    let (millis, (history, session)) = timed(|| {
+        let mut session = Session::new(mube, paper_spec(5)).with_seed(seed);
+        let mut history = Vec::with_capacity(ITERATIONS);
+        for step in 0..ITERATIONS {
+            match step {
+                1 => {
+                    session.set_weights(
+                        Weights::new([
+                            ("matching", 0.24),
+                            ("cardinality", 0.26),
+                            ("coverage", 0.20),
+                            ("redundancy", 0.15),
+                            ("mttf", 0.15),
+                        ])
+                        .expect("script weights are valid"),
+                    );
+                }
+                2 => {
+                    session.require_source(pin);
+                }
+                _ => {}
             }
-            2 => {
-                session.require_source(pin);
-            }
-            _ => {}
+            let solution = session.iterate().expect("scripted trace is feasible");
+            history.push(solution.clone());
         }
-        let solution = session.iterate().expect("scripted trace is feasible");
-        history.push(solution.clone());
-    }
-    let millis = start.elapsed().as_secs_f64() * 1e3;
+        (history, session)
+    });
     let entries = session.arena().len();
     (history, millis, entries)
-}
-
-type Fingerprint = Vec<(Vec<SourceId>, u64, String)>;
-
-fn fingerprint(history: &[Solution]) -> Fingerprint {
-    history
-        .iter()
-        .map(|s| {
-            (
-                s.selected.clone(),
-                s.overall_quality.to_bits(),
-                s.schema.to_string(),
-            )
-        })
-        .collect()
 }
 
 /// One session's identity within the workload: seed and pinned source.
@@ -92,176 +77,159 @@ fn tenant(pins: &[SourceId], index: usize) -> (SourceId, u64) {
     (pins[index % pins.len()], 11 + 3 * index as u64)
 }
 
-struct SizeResult {
-    build_millis: f64,
+/// One repetition of the workload: serial and concurrent wall clock, and
+/// each session's serial wall clock, arena entry count and fingerprint.
+struct Rep {
     serial_millis: f64,
     concurrent_millis: f64,
     session_millis: Vec<f64>,
     arena_entries: Vec<usize>,
+    fingerprints: Vec<Fingerprint>,
 }
 
-fn bench_size(size: usize, reps: u32, out: &mut String) {
+fn workload(mube: &Mube, pins: &[SourceId]) -> Rep {
+    // Serial arm: the 8 sessions back to back on this thread.
+    let (serial_millis, serial) = timed(|| {
+        (0..SESSIONS)
+            .map(|i| {
+                let (pin, seed) = tenant(pins, i);
+                run_session(mube, pin, seed)
+            })
+            .collect::<Vec<_>>()
+    });
+
+    // Concurrent arm: the same 8 sessions, one thread each, all over the
+    // one shared snapshot.
+    let (concurrent_millis, concurrent) = timed(|| {
+        let workers: Vec<_> = (0..SESSIONS)
+            .map(|i| {
+                let mube = mube.clone();
+                let (pin, seed) = tenant(pins, i);
+                std::thread::spawn(move || run_session(&mube, pin, seed))
+            })
+            .collect();
+        workers
+            .into_iter()
+            .map(|w| w.join().expect("session thread panicked"))
+            .collect::<Vec<_>>()
+    });
+
+    // The determinism gate: concurrency must not perturb a single bit of
+    // any session's history, nor leak entries between arenas.
+    for (i, ((sh, _, se), (ch, _, ce))) in serial.iter().zip(&concurrent).enumerate() {
+        assert_eq!(
+            fingerprint(sh),
+            fingerprint(ch),
+            "session {i}: concurrent history diverged from serial"
+        );
+        assert_eq!(se, ce, "session {i}: arena entry counts diverged");
+    }
+    Rep {
+        serial_millis,
+        concurrent_millis,
+        session_millis: serial.iter().map(|(_, ms, _)| *ms).collect(),
+        arena_entries: serial.iter().map(|(_, _, n)| *n).collect(),
+        fingerprints: serial.iter().map(|(h, _, _)| fingerprint(h)).collect(),
+    }
+}
+
+fn bench_size(size: usize, reps: u32) -> Json {
     eprintln!("== n = {size} sources, {SESSIONS} sessions ==");
     let generated = universe(size, 7, Scale::Reduced);
 
     // Snapshot build, timed separately from serving: the whole point of
     // the owned-Arc design is that this line runs once per universe, not
     // once per session.
-    let build_start = Instant::now();
-    let mube = engine(&generated);
-    let build_millis = build_start.elapsed().as_secs_f64() * 1e3;
-
+    let (build_millis, mube) = timed(|| engine(&generated));
     let pins = source_constraints(&generated, 4, 7);
 
-    let mut best: Option<SizeResult> = None;
-    let mut serial_fps: Option<Vec<Fingerprint>> = None;
-    for _ in 0..reps {
-        // Serial arm: the 8 sessions back to back on this thread.
-        let serial_start = Instant::now();
-        let serial: Vec<(Vec<Solution>, f64, usize)> = (0..SESSIONS)
-            .map(|i| {
-                let (pin, seed) = tenant(&pins, i);
-                run_session(&mube, pin, seed)
-            })
-            .collect();
-        let serial_millis = serial_start.elapsed().as_secs_f64() * 1e3;
-
-        // Concurrent arm: the same 8 sessions, one thread each, all over
-        // the one shared snapshot.
-        let concurrent_start = Instant::now();
-        let workers: Vec<_> = (0..SESSIONS)
-            .map(|i| {
-                let mube = mube.clone();
-                let (pin, seed) = tenant(&pins, i);
-                std::thread::spawn(move || run_session(&mube, pin, seed))
-            })
-            .collect();
-        let concurrent: Vec<(Vec<Solution>, f64, usize)> = workers
-            .into_iter()
-            .map(|w| w.join().expect("session thread panicked"))
-            .collect();
-        let concurrent_millis = concurrent_start.elapsed().as_secs_f64() * 1e3;
-
-        // The determinism gate: concurrency must not perturb a single bit
-        // of any session's history, nor leak entries between arenas.
-        let fps: Vec<_> = serial.iter().map(|(h, _, _)| fingerprint(h)).collect();
-        for (i, ((sh, _, se), (ch, _, ce))) in serial.iter().zip(&concurrent).enumerate() {
-            assert_eq!(
-                fingerprint(sh),
-                fingerprint(ch),
-                "session {i}: concurrent history diverged from serial"
-            );
-            assert_eq!(se, ce, "session {i}: arena entry counts diverged");
-        }
-        if let Some(prev) = &serial_fps {
-            assert_eq!(prev, &fps, "serial workload not reproducible across reps");
-        }
-        serial_fps = Some(fps);
-
-        let candidate = SizeResult {
-            build_millis,
-            serial_millis,
-            concurrent_millis,
-            session_millis: serial.iter().map(|(_, ms, _)| *ms).collect(),
-            arena_entries: serial.iter().map(|(_, _, n)| *n).collect(),
-        };
-        let better = match &best {
-            None => true,
-            Some(b) => candidate.concurrent_millis < b.concurrent_millis,
-        };
-        if better {
-            best = Some(candidate);
-        }
+    // Best of `reps` by the concurrent arm; the serial workload must
+    // reproduce itself exactly across reps.
+    let reps: Vec<Rep> = (0..reps.max(1)).map(|_| workload(&mube, &pins)).collect();
+    for rep in &reps[1..] {
+        assert_eq!(
+            reps[0].fingerprints, rep.fingerprints,
+            "serial workload not reproducible across reps"
+        );
     }
-    let best = best.expect("at least one rep");
+    let best = reps
+        .iter()
+        .min_by(|a, b| a.concurrent_millis.total_cmp(&b.concurrent_millis))
+        .expect("at least one rep");
 
     let session_mean =
         best.session_millis.iter().sum::<f64>() / best.session_millis.len().max(1) as f64;
     let speedup = best.serial_millis / best.concurrent_millis.max(1e-9);
     // Iterations completed per wall-clock second, for the whole tenant set.
-    let throughput_serial = (SESSIONS * ITERATIONS) as f64 / (best.serial_millis / 1e3).max(1e-9);
-    let throughput_concurrent =
-        (SESSIONS * ITERATIONS) as f64 / (best.concurrent_millis / 1e3).max(1e-9);
-    // How many sessions until the one-time build is amortized below the
-    // per-session serving cost.
-    let build_amortized_over = best.build_millis / session_mean.max(1e-9);
-    eprintln!(
-        "  build {:.1} ms | serial {:.1} ms | concurrent {:.1} ms | speedup {speedup:.2}x \
-         | {:.1} iter/s concurrent",
-        best.build_millis, best.serial_millis, best.concurrent_millis, throughput_concurrent
-    );
+    let per_sec = |millis: f64| (SESSIONS * ITERATIONS) as f64 / (millis / 1e3).max(1e-9);
 
-    let entries: Vec<String> = best.arena_entries.iter().map(usize::to_string).collect();
-    let _ = write!(
-        out,
-        "    {{\"sources\": {}, \"attrs\": {}, \"sessions\": {SESSIONS}, \
-         \"iterations_per_session\": {ITERATIONS}, \
-         \"snapshot_build_millis\": {:.3}, \
-         \"serial_millis\": {:.3}, \"concurrent_millis\": {:.3}, \
-         \"speedup_concurrent\": {:.3}, \
-         \"per_session_throughput\": {{\"serial_iter_per_sec\": {:.3}, \
-         \"concurrent_iter_per_sec\": {:.3}}}, \
-         \"session_mean_millis\": {:.3}, \
-         \"build_amortized_over_sessions\": {:.2}, \
-         \"arena_entries\": [{}], \
-         \"replay_bit_identical\": true}}",
-        size,
-        generated.universe.total_attrs(),
-        best.build_millis,
-        best.serial_millis,
-        best.concurrent_millis,
-        speedup,
-        throughput_serial,
-        throughput_concurrent,
-        session_mean,
-        build_amortized_over,
-        entries.join(", "),
-    );
+    obj([
+        ("sources", size.into()),
+        ("attrs", generated.universe.total_attrs().into()),
+        ("sessions", SESSIONS.into()),
+        ("iterations_per_session", ITERATIONS.into()),
+        ("snapshot_build_millis", build_millis.into()),
+        ("serial_millis", best.serial_millis.into()),
+        ("concurrent_millis", best.concurrent_millis.into()),
+        ("speedup_concurrent", speedup.into()),
+        (
+            "per_session_throughput",
+            obj([
+                ("serial_iter_per_sec", per_sec(best.serial_millis).into()),
+                (
+                    "concurrent_iter_per_sec",
+                    per_sec(best.concurrent_millis).into(),
+                ),
+            ]),
+        ),
+        ("session_mean_millis", session_mean.into()),
+        ("arena_entries", best.arena_entries.clone().into()),
+        ("replay_bit_identical", true.into()),
+    ])
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    let smoke = args.iter().any(|a| a == "--smoke");
-    let out_path = args
-        .iter()
-        .position(|a| a == "--out")
-        .and_then(|i| args.get(i + 1))
-        .cloned()
-        .unwrap_or_else(|| "BENCH_tenancy.json".to_owned());
-    let (sizes, reps): (&[usize], u32) = if smoke { (&[40], 1) } else { (&[100, 200], 2) };
-    let host_threads = std::thread::available_parallelism().map_or(1, usize::from);
-
-    let mut body = String::new();
-    for (i, &size) in sizes.iter().enumerate() {
-        if i > 0 {
-            body.push_str(",\n");
-        }
-        bench_size(size, reps, &mut body);
-    }
-    let json = format!(
-        "{{\n  \"bench\": \"tenancy\",\n  \"mode\": \"{}\",\n  \"scale\": \"reduced\",\n  \
-         \"host_threads\": {host_threads},\n  \
-         \"workload\": \"{SESSIONS} sessions x {ITERATIONS} iterations (solve, weights nudge, source pin), per-session seeds, one shared snapshot\",\n  \
-         \"determinism\": \"concurrent histories and arena entry counts bit-identical to serial replay (asserted every run)\",\n  \
-         \"units\": {{\"millis\": \"wall clock, best-of-reps by concurrent arm\"}},\n  \
-         \"note\": \"speedup_concurrent is 1-thread-vs-{SESSIONS}-thread wall for the same workload and tracks host_threads (~1.0 on a single-core host, where the concurrent arm only demonstrates fair sharing); the asserted contract is replay_bit_identical, not speed; build_amortized_over_sessions is how many sessions the one-time snapshot build costs\",\n  \
-         \"sizes\": [\n{}\n  ]\n}}\n",
-        if smoke { "smoke" } else { "full" },
-        body
-    );
-    std::fs::write(&out_path, &json).expect("write BENCH json");
-    // Cheap schema-rot guard: the artifact must contain every key a reader
-    // of the tenancy story greps for.
-    for key in [
-        "replay_bit_identical",
-        "snapshot_build_millis",
-        "speedup_concurrent",
-        "per_session_throughput",
-        "build_amortized_over_sessions",
-        "arena_entries",
-        "determinism",
-    ] {
-        assert!(json.contains(key), "BENCH json lost key {key}");
-    }
-    println!("wrote {out_path}");
+    let run = Run::from_args("tenancy").expect("usage: [--smoke] [--out <path>]");
+    let (sizes, reps): (&[usize], u32) = if run.smoke {
+        (&[40], 1)
+    } else {
+        (&[100, 200], 2)
+    };
+    let rows: Vec<Json> = sizes.iter().map(|&size| bench_size(size, reps)).collect();
+    run.write([
+        ("scale", "reduced".into()),
+        (
+            "workload",
+            format!(
+                "{SESSIONS} sessions x {ITERATIONS} iterations (solve, weights nudge, source \
+                 pin), per-session seeds, one shared snapshot"
+            )
+            .into(),
+        ),
+        (
+            "determinism",
+            "concurrent histories and arena entry counts bit-identical to serial replay \
+             (asserted every run)"
+                .into(),
+        ),
+        (
+            "units",
+            obj([(
+                "millis",
+                "wall clock, best-of-reps by concurrent arm".into(),
+            )]),
+        ),
+        (
+            "note",
+            format!(
+                "speedup_concurrent is 1-thread-vs-{SESSIONS}-thread wall for the same workload \
+                 and tracks host_threads (~1.0 on a single-core host, where the concurrent arm \
+                 only demonstrates fair sharing); the asserted contract is \
+                 replay_bit_identical, not speed"
+            )
+            .into(),
+        ),
+        ("sizes", rows.into()),
+    ])
+    .expect("artifact written");
 }

@@ -22,7 +22,7 @@ fn main() {
     let mut rows = Vec::new();
     for theta in [0.30, 0.45, 0.60, 0.75, 0.90] {
         let spec = paper_spec(20).with_theta(theta);
-        let (solution, _) = timed_solve(&mube, &spec, &solver, 7);
+        let (_, solution) = timed_solve(&mube, &spec, &solver, 7);
         let score = generated
             .ground_truth
             .score(&solution.schema, solution.selected.iter().copied());

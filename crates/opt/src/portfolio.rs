@@ -68,9 +68,6 @@ pub struct Portfolio {
     /// re-run cold on a fresh derived seed — still useful for restart-based
     /// searches).
     pub rounds: u32,
-    /// Whether rounds after the first warm-start from the shared incumbent.
-    /// Off means rounds are independent reseeded runs.
-    pub cross_seed: bool,
 }
 
 impl std::fmt::Debug for Portfolio {
@@ -81,7 +78,6 @@ impl std::fmt::Debug for Portfolio {
                 &self.members.iter().map(|m| m.name()).collect::<Vec<_>>(),
             )
             .field("rounds", &self.rounds)
-            .field("cross_seed", &self.cross_seed)
             .finish()
     }
 }
@@ -124,7 +120,6 @@ impl Portfolio {
                 Arc::new(crate::pso::BinaryPso::default()),
             ],
             rounds: 2,
-            cross_seed: true,
         }
     }
 
@@ -142,14 +137,10 @@ impl Portfolio {
         for round in 0..self.rounds.max(1) {
             // The incumbent over rounds < `round`; infeasible results never
             // seed anyone.
-            let warm: Option<Vec<usize>> = if round > 0 && self.cross_seed {
-                best_of(&results)
-                    .map(|(idx, r)| &results[idx][r])
-                    .filter(|r| r.objective > f64::NEG_INFINITY)
-                    .map(|r| r.best.iter().collect())
-            } else {
-                None
-            };
+            let warm: Option<Vec<usize>> = best_of(&results)
+                .map(|(idx, r)| &results[idx][r])
+                .filter(|r| r.objective > f64::NEG_INFINITY)
+                .map(|r| r.best.iter().collect());
             let posted: Vec<Option<SolveResult>> = std::thread::scope(|scope| {
                 let handles: Vec<_> = self
                     .members
@@ -309,7 +300,6 @@ mod tests {
                 Arc::new(StochasticLocalSearch::default()),
             ],
             rounds: 1,
-            cross_seed: false,
         };
         let outcome = portfolio.run(&p, 3);
         // Each member, run standalone with the derived seed, must reproduce
@@ -383,7 +373,6 @@ mod tests {
         let portfolio = Portfolio {
             members: vec![Arc::new(fast.clone()), Arc::new(slow.clone())],
             rounds: 2,
-            cross_seed: true,
         };
         let outcome = portfolio.run(&p, 0);
         assert_eq!(*fast.seen.lock().unwrap(), vec![None, Some(vec![2, 3])]);
@@ -401,7 +390,6 @@ mod tests {
         let outcome = Portfolio {
             members: vec![],
             rounds: 1,
-            cross_seed: false,
         }
         .run(&p, 0);
         assert!(!outcome.result.is_feasible());

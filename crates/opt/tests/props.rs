@@ -261,7 +261,6 @@ proptest! {
                 Arc::new(Greedy),
             ],
             rounds: 2,
-            cross_seed: true,
         };
         let exact = Exhaustive::default().solve(&problem, 0);
         let a = portfolio.run(&problem, seed);

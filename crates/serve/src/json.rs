@@ -83,11 +83,21 @@ impl Json {
     /// emit invalid JSON under any input.
     pub fn render(&self) -> String {
         let mut out = String::new();
-        self.render_into(&mut out);
+        self.render_into(&mut out, None);
         out
     }
 
-    fn render_into(&self, out: &mut String) {
+    /// Renders this value as [`Json::render`] does, but with one array
+    /// element or object member per line, indented two spaces per level,
+    /// and a space after each `:`. Parses back to the same value.
+    pub fn render_pretty(&self) -> String {
+        let mut out = String::new();
+        self.render_into(&mut out, Some(0));
+        out
+    }
+
+    /// Writes this value at nesting `indent` (`None`: compact).
+    fn render_into(&self, out: &mut String, indent: Option<usize>) {
         match self {
             Json::Null => out.push_str("null"),
             Json::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
@@ -100,27 +110,14 @@ impl Json {
             }
             Json::Str(s) => render_string(s, out),
             Json::Arr(items) => {
-                out.push('[');
-                for (i, item) in items.iter().enumerate() {
-                    if i > 0 {
-                        out.push(',');
-                    }
-                    item.render_into(out);
-                }
-                out.push(']');
+                render_members(out, indent, ('[', ']'), items.iter().map(|v| (None, v)))
             }
-            Json::Obj(members) => {
-                out.push('{');
-                for (i, (key, value)) in members.iter().enumerate() {
-                    if i > 0 {
-                        out.push(',');
-                    }
-                    render_string(key, out);
-                    out.push(':');
-                    value.render_into(out);
-                }
-                out.push('}');
-            }
+            Json::Obj(members) => render_members(
+                out,
+                indent,
+                ('{', '}'),
+                members.iter().map(|(k, v)| (Some(k.as_str()), v)),
+            ),
         }
     }
 
@@ -199,6 +196,34 @@ pub fn obj<I: IntoIterator<Item = (&'static str, Json)>>(members: I) -> Json {
     )
 }
 
+/// Scalars convert to their JSON form (integer counters exactly up to
+/// 2^53), so writers can build objects as `obj([("n", n.into())])`.
+macro_rules! from_scalar {
+    ($($t:ty => |$v:ident| $value:expr),* $(,)?) => {$(
+        impl From<$t> for Json {
+            fn from($v: $t) -> Self {
+                $value
+            }
+        }
+    )*};
+}
+from_scalar!(
+    f64 => |n| Json::Num(n),
+    u32 => |n| Json::Num(f64::from(n)),
+    u64 => |n| Json::Num(n as f64),
+    u128 => |n| Json::Num(n as f64),
+    usize => |n| Json::Num(n as f64),
+    bool => |b| Json::Bool(b),
+    &str => |s| Json::Str(s.to_owned()),
+    String => |s| Json::Str(s),
+);
+
+impl<T: Into<Json>> From<Vec<T>> for Json {
+    fn from(items: Vec<T>) -> Self {
+        Json::Arr(items.into_iter().map(Into::into).collect())
+    }
+}
+
 /// Renders a finite `f64` the shortest way that round-trips, preferring
 /// integer form for whole numbers (`3` rather than `3.0`).
 fn format_number(n: f64) -> String {
@@ -223,6 +248,43 @@ fn render_string(s: &str, out: &mut String) {
         }
     }
     out.push('"');
+}
+
+/// Writes a bracketed list of array elements (no key) or object members
+/// (keyed). With `indent`, each goes on its own line one level deeper and
+/// the closing bracket on a line of its own; empty lists stay `[]`/`{}`.
+fn render_members<'a>(
+    out: &mut String,
+    indent: Option<usize>,
+    (open, close): (char, char),
+    members: impl Iterator<Item = (Option<&'a str>, &'a Json)>,
+) {
+    out.push(open);
+    let inner = indent.map(|depth| depth + 1);
+    let mut empty = true;
+    for (key, value) in members {
+        if !empty {
+            out.push(',');
+        }
+        empty = false;
+        newline(out, inner);
+        if let Some(key) = key {
+            render_string(key, out);
+            out.push_str(if indent.is_some() { ": " } else { ":" });
+        }
+        value.render_into(out, inner);
+    }
+    if !empty {
+        newline(out, indent);
+    }
+    out.push(close);
+}
+
+fn newline(out: &mut String, indent: Option<usize>) {
+    if let Some(depth) = indent {
+        out.push('\n');
+        out.push_str(&"  ".repeat(depth));
+    }
 }
 
 struct Parser<'a> {
@@ -489,6 +551,16 @@ mod tests {
         assert_eq!(a, b);
         assert_eq!(a.render(), r#"{"a":2,"z":1}"#);
         assert_eq!(a.render(), b.render());
+    }
+
+    #[test]
+    fn pretty_rendering_indents_two_spaces_per_level() {
+        let v = Json::parse(r#"{"a":[1,{}],"b":[],"c":{"d":"x"}}"#).unwrap();
+        assert_eq!(
+            v.render_pretty(),
+            "{\n  \"a\": [\n    1,\n    {}\n  ],\n  \"b\": [],\n  \"c\": {\n    \"d\": \"x\"\n  }\n}"
+        );
+        assert_eq!(Json::parse(&v.render_pretty()).unwrap(), v);
     }
 
     #[test]

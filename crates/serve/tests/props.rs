@@ -1,6 +1,7 @@
 //! Property tests for the wire parsers: `Json::parse` and `parse_request`
 //! never panic, whatever a client sends, and every JSON value the protocol
-//! can carry survives render → parse → render byte for byte.
+//! can carry survives render → parse → render byte for byte, compact or
+//! indented.
 
 use proptest::prelude::*;
 use proptest::test_runner::TestRng;
@@ -235,11 +236,14 @@ proptest! {
 
     #[test]
     fn render_then_parse_round_trips_byte_identically(value in ArbJson { depth: 4 }) {
-        let text = value.render();
-        let parsed = Json::parse(&text);
-        prop_assert_eq!(parsed.as_ref(), Ok(&value), "rendered as {}", text);
-        if let Ok(parsed) = parsed {
-            prop_assert_eq!(parsed.render(), text);
+        // Compact and two-space-indented renderings alike.
+        for render in [Json::render, Json::render_pretty] {
+            let text = render(&value);
+            let parsed = Json::parse(&text);
+            prop_assert_eq!(parsed.as_ref(), Ok(&value), "rendered as {}", text);
+            if let Ok(parsed) = parsed {
+                prop_assert_eq!(render(&parsed), text);
+            }
         }
     }
 

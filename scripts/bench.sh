@@ -12,38 +12,29 @@
 #                              cheap "the harness still runs end to end" gate.
 #
 # Full runs should happen on a quiet machine; the harnesses take best-of-N
-# wall times for the in-tree arms. The solve harness asserts the determinism
-# contract (serial re-run byte-identical, pruned == full scan); the session
-# harness asserts that arena-backed and cold sessions produce bit-identical
-# histories; the kernels harness asserts packed/scalar bit-identity in every
-# mode and the acceptance thresholds (≥3x pairwise Jaccard, ≥2x matrix fill)
-# in full mode. See DESIGN.md §8 (Match kernel), §9 (solve stack), §10
-# (session arena), §12 (packed kernels) and §13 (exact branch-and-bound) for
-# how to read the output. The bound harness asserts its own contracts in-bin:
-# certified gaps non-negative and non-increasing along the budget ladder, and
-# the unlimited run bit-identical to the exhaustive enumerator at n=12. The
-# scale harness (DESIGN.md §14) asserts sparse/dense bit-identity and solve
-# identity every run, and that the dense backend refuses its memory budget
-# at the 10k-source tier while the spill-backed sparse build carries Match
-# and the greedy solve anyway; a full run also asserts the sparse solve
-# stays within 1.2x of the dense one.
+# wall times for the in-tree arms. All seven write through one writer in
+# crates/bench/src/lib.rs, which stamps the header (bench, mode,
+# host_threads) and writes nothing that fails mube_bench::check_contracts.
+# Each harness asserts its contracts in-bin before stamping the flags the
+# contract requires: solve, serial re-runs byte-identical and pruned == full
+# scan; session, arena and cold histories bit-identical; kernels,
+# packed/scalar bit-identity, plus the ≥3x pairwise Jaccard and ≥2x matrix
+# fill thresholds in full mode; bound, certified gaps non-negative and
+# non-increasing, and bnb == exhaustive at n=12; scale (DESIGN.md §14),
+# sparse/dense bit-identity and solve identity, the dense refusal at 10k
+# sources, and in full mode a sparse solve within 1.2x of the dense one
+# (median ratio over alternating solve pairs); tenancy, concurrent sessions
+# bit-identical to serial replay. DESIGN.md §8–§10 and §12–§15 explain the
+# output.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-if [[ "${1:-}" == "--smoke" ]]; then
-  cargo run --release -q -p mube-bench --bin match_kernel -- --smoke --out target/BENCH_match.smoke.json
-  cargo run --release -q -p mube-bench --bin solve_portfolio -- --smoke --out target/BENCH_solve.smoke.json
-  cargo run --release -q -p mube-bench --bin session_iterate -- --smoke --out target/BENCH_session.smoke.json
-  cargo run --release -q -p mube-bench --bin sim_kernels -- --smoke --out target/BENCH_kernels.smoke.json
-  cargo run --release -q -p mube-bench --bin bound_gap -- --smoke --out target/BENCH_bound.smoke.json
-  cargo run --release -q -p mube-bench --bin scale_match -- --smoke --out target/BENCH_scale.smoke.json
-  cargo run --release -q -p mube-bench --bin tenancy -- --smoke --out target/BENCH_tenancy.smoke.json
-else
-  cargo run --release -q -p mube-bench --bin match_kernel
-  cargo run --release -q -p mube-bench --bin solve_portfolio
-  cargo run --release -q -p mube-bench --bin session_iterate
-  cargo run --release -q -p mube-bench --bin sim_kernels
-  cargo run --release -q -p mube-bench --bin bound_gap
-  cargo run --release -q -p mube-bench --bin scale_match
-  cargo run --release -q -p mube-bench --bin tenancy
-fi
+for bench in match_kernel:match solve_portfolio:solve session_iterate:session \
+  sim_kernels:kernels bound_gap:bound scale_match:scale tenancy:tenancy; do
+  if [[ "${1:-}" == "--smoke" ]]; then
+    cargo run --release -q -p mube-bench --bin "${bench%:*}" -- --smoke \
+      --out "target/BENCH_${bench#*:}.smoke.json"
+  else
+    cargo run --release -q -p mube-bench --bin "${bench%:*}"
+  fi
+done

@@ -83,7 +83,6 @@ fn portfolio_solve_passes_audit_and_is_deterministic() {
             Arc::new(Greedy),
         ],
         rounds: 2,
-        cross_seed: true,
     };
 
     let solution = mube.solve(&spec, &portfolio, 17).expect("solvable");
