@@ -1,16 +1,16 @@
 //! Perf trajectory for the `Match(S)` hot path: regenerates
 //! `BENCH_match.json`.
 //!
-//! Times `match_sources` under both round-loop kernels (incremental
-//! Lance–Williams vs. the brute-force oracle), a faithful port of the
-//! seed-commit pre-PR kernel (full alive-pair recompute every round, no
-//! mergeability pre-filter — the acceptance baseline), and a full
-//! `Mube::solve`, on datagen universes at n ∈ {50, 100, 200, 400} sources,
-//! and writes wall times plus work counters (rounds, linkage evaluations,
-//! Lance–Williams updates, cache hits) as JSON. The headline `speedup` is
-//! incremental vs. pre-PR; `speedup_vs_brute` is incremental vs. the
-//! in-tree oracle (which already benefits from the mergeability
-//! pre-filter). See DESIGN.md §8 for how to read the file.
+//! Times both round-loop kernels (incremental Lance–Williams
+//! `match_sources` vs. the brute-force oracle `match_sources_brute_force`),
+//! a faithful port of the seed-commit pre-PR kernel (full alive-pair
+//! recompute every round, no mergeability pre-filter — the acceptance
+//! baseline), and a full `Mube::solve`, on datagen universes at
+//! n ∈ {50, 100, 200, 400} sources, and writes wall times plus work
+//! counters (rounds, linkage evaluations, Lance–Williams updates, cache
+//! hits) as JSON. Speedups are the ratios of the `millis` columns (the
+//! in-tree oracle already benefits from the mergeability pre-filter). See
+//! DESIGN.md §8 for how to read the file.
 //!
 //! Usage:
 //!   cargo run --release -p mube-bench --bin match_kernel
@@ -19,11 +19,22 @@
 use std::collections::BTreeSet;
 
 use mube_bench::{best_of, engine, paper_spec, timed, timed_solve, universe, Run, Scale};
-use mube_cluster::{match_sources, AttrSimilarity, MatchConfig, MatchKernel, MatchOutcome};
+use mube_cluster::{
+    match_sources, match_sources_brute_force, AttrSimilarity, MatchConfig, MatchOutcome,
+};
 use mube_core::Mube;
 use mube_opt::TabuSearch;
 use mube_schema::{AttrId, Constraints, MediatedSchema, SourceId, Universe};
 use mube_serve::json::{obj, Json};
+
+/// A `Match(S)` entry point: `match_sources` or its brute-force oracle.
+type Kernel = fn(
+    &Universe,
+    &[SourceId],
+    &Constraints,
+    &MatchConfig,
+    &dyn AttrSimilarity,
+) -> Option<MatchOutcome>;
 
 /// A cluster as the seed-commit kernel represented it — the minimum state
 /// the pre-PR round loop needs (the bench runs unconstrained, so the
@@ -198,14 +209,11 @@ fn bench_size(size: usize, reps: u32) -> Json {
         .map(|s| s.id())
         .collect();
     let constraints = Constraints::none();
+    let config = MatchConfig::default();
 
-    let run_kernel = |kernel: MatchKernel| {
-        let config = MatchConfig {
-            kernel,
-            ..MatchConfig::default()
-        };
+    let run_kernel = |kernel: Kernel| {
         best_of(reps, || {
-            match_sources(
+            kernel(
                 &generated.universe,
                 &ids,
                 &constraints,
@@ -215,14 +223,13 @@ fn bench_size(size: usize, reps: u32) -> Json {
             .expect("unconstrained match is always feasible")
         })
     };
-    let (incremental_millis, incremental) = run_kernel(MatchKernel::Incremental);
-    let (brute_millis, brute) = run_kernel(MatchKernel::BruteForce);
+    let (incremental_millis, incremental) = run_kernel(match_sources);
+    let (brute_millis, brute) = run_kernel(match_sources_brute_force);
     assert_eq!(
         incremental.schema, brute.schema,
         "kernels must produce identical schemas"
     );
     // The pre-PR baseline is slow by design — one timed run is plenty.
-    let config = MatchConfig::default();
     let (pre_pr_millis, pre_pr) =
         timed(|| pre_pr_match(&generated.universe, &ids, &config, mube.similarity()));
     assert_eq!(
@@ -230,8 +237,6 @@ fn bench_size(size: usize, reps: u32) -> Json {
         ga_sets(&incremental.schema),
         "pre-PR reference must produce the same GAs"
     );
-    let speedup = pre_pr_millis / incremental_millis.max(1e-9);
-    let speedup_vs_brute = brute_millis / incremental_millis.max(1e-9);
 
     // One full solve on the same universe: the kernel's effect end-to-end,
     // including the objective memo cache.
@@ -254,8 +259,6 @@ fn bench_size(size: usize, reps: u32) -> Json {
                         ("linkage_evals", pre_pr.linkage_evals.into()),
                     ]),
                 ),
-                ("speedup", speedup.into()),
-                ("speedup_vs_brute", speedup_vs_brute.into()),
             ]),
         ),
         (

@@ -4,13 +4,16 @@
 //! Replays one scripted 6-iteration user-feedback trace — the paper's §6
 //! iterate–inspect–refine loop — through two arms per universe size:
 //!
-//! * `cold` — `Session` with the persistent arena disabled: every
-//!   iteration evaluates into a fresh, discarded memo store, exactly the
-//!   pre-arena behaviour.
-//! * `arena` — the same session with its persistent [`EvalArena`]:
-//!   component vectors survive iterations and are selectively invalidated
-//!   by the classified spec delta, so the weights-only steps of the script
+//! * `cold` — every iteration is a separate `Mube::solve` of the edited
+//!   spec, with the seed and warm start a `Session` would use: each one
+//!   evaluates into a fresh, discarded memo store, exactly the pre-arena
+//!   behaviour.
+//! * `arena` — a `Session` with its persistent [`EvalArena`]: component
+//!   vectors survive iterations and are selectively invalidated by the
+//!   classified spec delta, so the weights-only steps of the script
 //!   recombine cached vectors instead of rerunning `Match(S)`.
+//!
+//! [`EvalArena`]: mube_core::EvalArena
 //!
 //! The script covers every delta class: a cold first solve, two
 //! weights-only perturbations (the paper's §7.4 observation — "perturbing
@@ -28,8 +31,6 @@
 //! nearly disjoint subsets each iteration, which measures the solver's RNG,
 //! not the memo store.
 //!
-//! `speedup_session` is cold-vs-arena whole-session wall clock.
-//!
 //! Usage:
 //!   cargo run --release -p mube-bench --bin session_iterate
 //!   cargo run --release -p mube-bench --bin session_iterate -- --smoke --out target/BENCH_session.smoke.json
@@ -37,8 +38,8 @@
 use mube_bench::{
     engine, fingerprint, paper_spec, source_constraints, timed, universe, Run, Scale,
 };
-use mube_core::{Session, Solution, SpecDelta};
-use mube_opt::Greedy;
+use mube_core::{Mube, ProblemSpec, Session, Solution, SpecDelta};
+use mube_opt::{Greedy, Solver};
 use mube_qef::Weights;
 use mube_schema::SourceId;
 use mube_serve::json::{obj, Json};
@@ -69,11 +70,7 @@ impl Feedback {
         match self {
             Feedback::None => {}
             Feedback::Weights(_, w) => {
-                let names = ["matching", "cardinality", "coverage", "redundancy", "mttf"];
-                session.set_weights(
-                    Weights::new(names.into_iter().zip(w.iter().copied()))
-                        .expect("script weights are valid"),
-                );
+                session.set_weights(weights(w));
             }
             Feedback::RequireSource(id) => {
                 session.require_source(*id);
@@ -83,6 +80,24 @@ impl Feedback {
             }
         }
     }
+
+    /// [`Feedback::apply`] on a bare spec, for the cold arm.
+    fn apply_to(&self, spec: &mut ProblemSpec) {
+        match self {
+            Feedback::None => {}
+            Feedback::Weights(_, w) => spec.weights = weights(w),
+            Feedback::RequireSource(id) => {
+                spec.constraints.require_source(*id);
+            }
+            Feedback::Theta(t) => spec.match_config.theta = *t,
+        }
+    }
+}
+
+/// A script weight vector over the five weighted QEFs.
+fn weights(w: &[f64; 5]) -> Weights {
+    let names = ["matching", "cardinality", "coverage", "redundancy", "mttf"];
+    Weights::new(names.into_iter().zip(w.iter().copied())).expect("script weights are valid")
 }
 
 /// The 6-step feedback script. The weight edits are §7.4-style
@@ -113,16 +128,10 @@ fn delta_name(delta: Option<SpecDelta>) -> &'static str {
 
 /// Runs one whole scripted session; returns per-iteration wall clocks and
 /// solutions, plus the arena entry count at the end.
-fn run_session(
-    mube: &mube_core::Mube,
-    pin: SourceId,
-    seed: u64,
-    arena_enabled: bool,
-) -> (Vec<(f64, Solution)>, usize) {
+fn run_session(mube: &Mube, pin: SourceId, seed: u64) -> (Vec<(f64, Solution)>, usize) {
     let mut session = Session::new(mube, paper_spec(10))
         .with_solver(Box::new(Greedy))
-        .with_seed(seed)
-        .with_arena(arena_enabled);
+        .with_seed(seed);
     let mut out = Vec::new();
     for step in script(pin) {
         step.apply(&mut session);
@@ -131,6 +140,26 @@ fn run_session(
     }
     let entries = session.arena().len();
     (out, entries)
+}
+
+/// The same script as [`run_session`], each iteration a separate
+/// `Mube::solve` with the seed (`seed + k`) and warm start a session uses.
+fn run_cold(mube: &Mube, pin: SourceId, seed: u64) -> Vec<(f64, Solution)> {
+    let mut spec = paper_spec(10);
+    let mut out: Vec<(f64, Solution)> = Vec::new();
+    for (k, step) in script(pin).into_iter().enumerate() {
+        step.apply_to(&mut spec);
+        let warm = out.last().and_then(|(_, last)| {
+            let items: Vec<usize> = last.selected.iter().map(|s| s.index()).collect();
+            Greedy.with_warm_start(&items)
+        });
+        let solver: &dyn Solver = warm.as_deref().unwrap_or(&Greedy);
+        out.push(timed(|| {
+            mube.solve(&spec, solver, seed + k as u64)
+                .expect("scripted trace is feasible")
+        }));
+    }
+    out
 }
 
 /// The solutions of a timed history, in order.
@@ -148,8 +177,8 @@ fn bench_size(size: usize, reps: u32) -> Json {
     // Best-of-`reps` whole-session runs per arm; every repetition must
     // reproduce the first exactly, and the two arms must agree with each
     // other — the arena's bit-identity contract, asserted on every run.
-    let (mut cold, _) = run_session(&mube, pin, seed, false);
-    let (mut warm, mut arena_entries) = run_session(&mube, pin, seed, true);
+    let mut cold = run_cold(&mube, pin, seed);
+    let (mut warm, mut arena_entries) = run_session(&mube, pin, seed);
     let expected = fingerprint(solutions(&cold));
     assert_eq!(
         expected,
@@ -157,8 +186,8 @@ fn bench_size(size: usize, reps: u32) -> Json {
         "arena-backed session diverged from cold session"
     );
     for _ in 1..reps {
-        let (cold_again, _) = run_session(&mube, pin, seed, false);
-        let (warm_again, entries) = run_session(&mube, pin, seed, true);
+        let cold_again = run_cold(&mube, pin, seed);
+        let (warm_again, entries) = run_session(&mube, pin, seed);
         assert_eq!(
             expected,
             fingerprint(solutions(&cold_again)),
@@ -188,7 +217,6 @@ fn bench_size(size: usize, reps: u32) -> Json {
     };
     let (cold_ms, cold_matches, cold_evals) = totals(&cold);
     let (warm_ms, warm_matches, warm_evals) = totals(&warm);
-    let speedup = cold_ms / warm_ms.max(1e-9);
 
     let steps = script(pin)
         .into_iter()
@@ -243,7 +271,6 @@ fn bench_size(size: usize, reps: u32) -> Json {
                 ("final_entries", arena_entries.into()),
             ]),
         ),
-        ("speedup_session", speedup.into()),
         ("iterations", Json::Arr(steps.collect())),
     ])
 }
@@ -269,9 +296,9 @@ fn main() {
         ),
         (
             "note",
-            "speedup_session is whole-trace cold vs arena; weights_only steps recombine cached \
-             component vectors instead of rerunning Match wherever the greedy path revisits a \
-             subset (down to zero Match calls when the path fully coincides)"
+            "cold solves each iteration separately, arena keeps one session; weights_only steps \
+             recombine cached component vectors instead of rerunning Match wherever the greedy \
+             path revisits a subset (down to zero Match calls when the path fully coincides)"
                 .into(),
         ),
         ("sizes", rows.into()),

@@ -12,7 +12,7 @@
 //!   portfolio arm even on a single-core host.
 //! * `portfolio` — the same members raced as one `Portfolio` solver
 //!   through [`Mube::solve`] against one shared objective: members amortize
-//!   each other's `Match(S)` work through the sharded memo cache, and later
+//!   each other's `Match(S)` work through the shared memo arena, and later
 //!   rounds warm-start from the shared incumbent. The per-member rows come
 //!   from an untimed `Portfolio::run` over [`Mube::objective`], which
 //!   replays the timed race exactly.
@@ -25,17 +25,15 @@
 //! quality bits, records `match_calls`, `evaluations` and wall time for
 //! both, and stamps `"pruned_identical": true`.
 //!
-//! `speedup_portfolio` is multistart-vs-portfolio wall clock (shared-cache
-//! savings are real on any core count). See DESIGN.md §9 for how to read
-//! the file.
+//! Every arm's `millis` is a best-of-reps wall clock; multistart over
+//! portfolio `millis` is the shared-cache saving, real on any core count.
+//! See DESIGN.md §9 for how to read the file.
 //!
 //! Usage:
 //!   cargo run --release -p mube-bench --bin solve_portfolio
 //!   cargo run --release -p mube-bench --bin solve_portfolio -- --smoke --out target/BENCH_solve.smoke.json
 
-use mube_bench::{
-    best_of, engine, paper_spec, quick_portfolio, timed, timed_solve, universe, Run, Scale,
-};
+use mube_bench::{best_of, engine, paper_spec, quick_portfolio, universe, Run, Scale};
 use mube_core::{Mube, ProblemSpec, Solution};
 use mube_opt::{Greedy, Solver, Subset, SubsetProblem, TabuSearch};
 use mube_schema::SourceId;
@@ -116,16 +114,12 @@ fn pruned_arm(
 }
 
 /// The columns of one timed solve.
-fn arm(millis: f64, s: &Solution) -> [(&'static str, Json); 7] {
+fn arm(millis: f64, s: &Solution) -> [(&'static str, Json); 6] {
     [
         ("millis", millis.into()),
         ("evaluations", s.stats.evaluations.into()),
         ("match_calls", s.stats.match_calls.into()),
         ("cache_hits", s.stats.cache_hits.into()),
-        (
-            "hit_rate",
-            (s.stats.cache_hits as f64 / s.stats.evaluations.max(1) as f64).into(),
-        ),
         ("evictions", s.stats.evictions.into()),
         ("quality", s.overall_quality.into()),
     ]
@@ -162,7 +156,7 @@ fn bench_size(size: usize, reps: u32) -> Json {
 
     // Multistart baseline: every member, every round, cold caches, serially.
     let portfolio = quick_portfolio();
-    let (multistart_millis, multistart) = timed(|| {
+    let (multistart_millis, multistart) = best_of(reps, || {
         let mut solutions = Vec::new();
         for round in 0..u64::from(portfolio.rounds) {
             for (i, member) in portfolio.members.iter().enumerate() {
@@ -177,7 +171,10 @@ fn bench_size(size: usize, reps: u32) -> Json {
     });
 
     // Portfolio arm: same members and rounds, one shared objective.
-    let (portfolio_millis, best) = timed_solve(&mube, &spec, &portfolio, seed);
+    let (portfolio_millis, best) = best_of(reps, || {
+        mube.solve(&spec, &portfolio, seed)
+            .expect("paper spec is feasible")
+    });
     let member_stats = portfolio
         .run(
             &mube.objective(&spec).expect("paper spec is feasible"),
@@ -232,10 +229,6 @@ fn bench_size(size: usize, reps: u32) -> Json {
             ])),
         ),
         ("pruned", pruned),
-        (
-            "speedup_portfolio",
-            (multistart_millis / portfolio_millis.max(1e-9)).into(),
-        ),
     ])
 }
 
@@ -250,16 +243,11 @@ fn main() {
     run.write([
         ("scale", "reduced".into()),
         ("rounds", quick_portfolio().rounds.into()),
-        (
-            "units",
-            obj([(
-                "millis",
-                "best-of-reps wall clock (serial/pruned); single-run (multistart/portfolio)".into(),
-            )]),
-        ),
+        ("units", obj([("millis", "best-of-reps wall clock".into())])),
         (
             "note",
-            "speedup_portfolio measures the shared Q(S) cache vs cold multistart on any host"
+            "multistart over portfolio millis measures the shared Q(S) cache vs cold \
+             multistart on any host"
                 .into(),
         ),
         ("sizes", rows.into()),

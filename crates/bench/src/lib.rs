@@ -441,8 +441,10 @@ pub const BENCHES: &[Bench] = &[
         name: "match_kernel",
         artifact: "BENCH_match.json",
         rules: &[
-            Keys("sizes[].match", &["speedup", "speedup_vs_brute"]),
-            Keys("sizes[].match.incremental", &["rounds", "lw_updates"]),
+            Keys("sizes[].match.incremental", &["millis", "rounds"]),
+            Keys("sizes[].match.incremental", &["lw_updates"]),
+            Keys("sizes[].match.brute_force", &["millis"]),
+            Keys("sizes[].match.pre_pr", &["millis"]),
             Keys("sizes[].match.incremental", &["linkage_evals"]),
             Keys("sizes[].solve", &["match_calls", "cache_hits"]),
             Keys("sizes[].solve", &["linkage_evals", "lw_updates"]),
@@ -452,9 +454,11 @@ pub const BENCHES: &[Bench] = &[
         name: "solve_portfolio",
         artifact: "BENCH_solve.json",
         rules: &[
-            Keys("sizes[]", &["speedup_portfolio"]),
-            Keys("sizes[].serial", &["hit_rate", "evictions"]),
-            Keys("sizes[].portfolio", &["winner", "hit_rate", "evictions"]),
+            Keys("sizes[].serial", &["cache_hits", "evaluations"]),
+            Keys("sizes[].serial", &["evictions"]),
+            Keys("sizes[].multistart", &["millis"]),
+            Keys("sizes[].portfolio", &["millis", "winner", "cache_hits"]),
+            Keys("sizes[].portfolio", &["evaluations", "evictions"]),
             Flags("sizes[].pruned", &["pruned_identical"]),
         ],
     },
@@ -463,8 +467,8 @@ pub const BENCHES: &[Bench] = &[
         artifact: "BENCH_session.json",
         rules: &[
             Keys("", &["determinism"]),
-            Keys("sizes[]", &["speedup_session"]),
-            Keys("sizes[].arena", &["final_entries"]),
+            Keys("sizes[].cold", &["total_millis"]),
+            Keys("sizes[].arena", &["total_millis", "final_entries"]),
             Keys("sizes[].iterations[]", &["spec_delta", "warm_start"]),
             Keys("sizes[].iterations[].arena", &["recombined", "invalidated"]),
             Covers("sizes[].iterations[]", "spec_delta", "weights_only"),
@@ -478,9 +482,9 @@ pub const BENCHES: &[Bench] = &[
             Flags("pairwise_jaccard", &["bit_identical"]),
             Flags("matrix_fill", &["bit_identical"]),
             Flags("selection_ops", &["results_equal"]),
-            Keys("pairwise_jaccard", &["speedup"]),
-            Keys("matrix_fill", &["speedup"]),
-            Keys("selection_ops", &["speedup"]),
+            Keys("pairwise_jaccard", &["string_millis", "packed_millis"]),
+            Keys("matrix_fill", &["pre_pr_millis", "packed_millis"]),
+            Keys("selection_ops", &["scalar_millis", "packed_millis"]),
             FullFlags("", &["meets_thresholds"]),
         ],
     },
@@ -515,8 +519,8 @@ pub const BENCHES: &[Bench] = &[
             Keys("", &["determinism"]),
             Flags("sizes[]", &["replay_bit_identical"]),
             Keys("sizes[]", &["snapshot_build_millis", "session_mean_millis"]),
-            Keys("sizes[]", &["speedup_concurrent", "arena_entries"]),
-            Keys("sizes[]", &["per_session_throughput"]),
+            Keys("sizes[]", &["serial_millis", "concurrent_millis"]),
+            Keys("sizes[]", &["arena_entries"]),
         ],
     },
 ];

@@ -17,7 +17,7 @@ fn committed_artifacts_are_full_runs_that_meet_their_contracts() {
 
 /// A tenancy row carrying every key and flag its contract requires.
 const ROW: &str = r#"{"snapshot_build_millis": 1.5, "session_mean_millis": 300,
-    "speedup_concurrent": 1.9, "per_session_throughput": {},
+    "serial_millis": 600, "concurrent_millis": 310, "counters": {},
     "arena_entries": [3], "replay_bit_identical": true}"#;
 
 fn tenancy(mode: &str, rows: &[&str]) -> Json {
@@ -39,9 +39,9 @@ const SMOKE: &str = r#""mode": "smoke""#;
 const VERDICT: &str = r#""mode": "full", "meets_thresholds": true"#;
 
 const KERNELS: &str = r#""bench": "sim_kernels", "host_threads": 1,
-    "pairwise_jaccard": {"bit_identical": true, "speedup": 3.1},
-    "matrix_fill": {"bit_identical": true, "speedup": 2.2},
-    "selection_ops": {"results_equal": true, "speedup": 9}"#;
+    "pairwise_jaccard": {"bit_identical": true, "string_millis": 31, "packed_millis": 10},
+    "matrix_fill": {"bit_identical": true, "pre_pr_millis": 22, "packed_millis": 10},
+    "selection_ops": {"results_equal": true, "scalar_millis": 9, "packed_millis": 1}"#;
 
 const SCALE: &str = r#""bench": "scale_match", "host_threads": 1,
     "identity": [{"bit_identical": true, "lossless": {"candidate_pairs": 4},

@@ -1,10 +1,10 @@
 //! Algorithm 1: greedy constrained similarity clustering.
 //!
-//! Two interchangeable round-loop kernels implement the same algorithm (see
-//! [`MatchKernel`]): the default incremental kernel maintains cluster-pair
-//! similarities across rounds via Lance–Williams updates, while the
-//! brute-force kernel recomputes every alive pair from scratch each round
-//! and serves as the reference oracle for equivalence tests.
+//! Two round-loop kernels implement the same algorithm: [`match_sources`]
+//! runs the incremental kernel, which maintains cluster-pair similarities
+//! across rounds via Lance–Williams updates, and [`match_sources_brute_force`]
+//! recomputes every alive pair from scratch each round and serves as the
+//! reference oracle for equivalence tests and the Match benchmark.
 
 use std::collections::BTreeSet;
 
@@ -14,23 +14,6 @@ use crate::linkage::Linkage;
 use crate::quality::schema_quality;
 use crate::similarity::AttrSimilarity;
 use crate::source_mask::SourceMask;
-
-/// Which round-loop implementation a `Match(S)` call runs.
-///
-/// Both kernels execute Algorithm 1 exactly — same merges, same rounds, same
-/// schema — they differ only in how cluster-pair similarities are obtained
-/// (see DESIGN.md §8 for the complexity comparison).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum MatchKernel {
-    /// Maintain pair similarities incrementally: one full all-pairs pass at
-    /// seed time, then O(alive) Lance–Williams derivations per merge, with
-    /// candidate pairs kept in a lazily-invalidated binary heap.
-    #[default]
-    Incremental,
-    /// Recompute every alive cluster pair from its attribute pairs each
-    /// round (the pre-optimization reference path).
-    BruteForce,
-}
 
 /// Parameters of one `Match(S)` invocation.
 ///
@@ -53,24 +36,25 @@ pub struct MatchConfig {
     /// this off is the `ablation_pruning` configuration: the output is
     /// unchanged, only more clusters are carried through each round.
     pub prune: bool,
-    /// Round-loop kernel; [`MatchKernel::Incremental`] unless a test or
-    /// ablation explicitly asks for the brute-force oracle.
-    pub kernel: MatchKernel,
 }
 
 impl Default for MatchConfig {
     /// θ = 0.75 (the paper's experimental setting), β = 1, single linkage,
-    /// pruning on, incremental kernel.
+    /// pruning on.
     fn default() -> Self {
         Self {
             theta: 0.75,
             beta: 1,
             linkage: Linkage::Single,
             prune: true,
-            kernel: MatchKernel::Incremental,
         }
     }
 }
+
+/// A round loop (Algorithm 1, lines 5–23) over the seeded clusters: the
+/// incremental kernel or the brute-force reference. Returns the number of
+/// rounds run.
+type RoundLoop = fn(&mut Vec<Cluster>, &MatchConfig, &dyn AttrSimilarity, &mut MatchStats) -> u32;
 
 /// Work counters of one `Match(S)` call, for the perf benches
 /// (`BENCH_match.json`) and the engine's [`SolveStats`] accounting.
@@ -195,6 +179,10 @@ impl Cluster {
 /// `C ⊆ S`). Returns `None` when no matching satisfies both the threshold
 /// and the source constraints — i.e. the produced schema is not valid on `C`
 /// — mirroring the paper's "return a null schema and 0 matching quality".
+///
+/// Runs the incremental kernel: one full all-pairs pass at seed time, then
+/// O(alive) Lance–Williams derivations per merge, with candidate pairs kept
+/// in a lazily-invalidated binary heap (see DESIGN.md §8).
 pub fn match_sources(
     universe: &Universe,
     sources: &[SourceId],
@@ -203,11 +191,39 @@ pub fn match_sources(
     sim: &dyn AttrSimilarity,
 ) -> Option<MatchOutcome> {
     let outcome = match_sources_deferring_spans(universe, sources, constraints, config, sim)?;
-    // Line 24: M must be valid on the source constraints C.
-    if !outcome.schema.spans(constraints.sources().iter().copied()) {
-        return None;
-    }
-    Some(outcome)
+    spans_checked(outcome, constraints)
+}
+
+/// [`match_sources`] on the brute-force reference round loop, which
+/// recomputes every alive cluster pair from its attribute pairs each round
+/// (the pre-optimization path). Same feasibility, schema, quality and
+/// round count as [`match_sources`]; only the work counters differ. Kept
+/// as the oracle the incremental kernel is equivalence-tested against and
+/// as the Match benchmark's baseline.
+pub fn match_sources_brute_force(
+    universe: &Universe,
+    sources: &[SourceId],
+    constraints: &Constraints,
+    config: &MatchConfig,
+    sim: &dyn AttrSimilarity,
+) -> Option<MatchOutcome> {
+    let outcome = cluster(
+        universe,
+        sources,
+        constraints,
+        config,
+        sim,
+        brute_force_rounds,
+    )?;
+    spans_checked(outcome, constraints)
+}
+
+/// Line 24: M must be valid on the source constraints C.
+fn spans_checked(outcome: MatchOutcome, constraints: &Constraints) -> Option<MatchOutcome> {
+    outcome
+        .schema
+        .spans(constraints.sources().iter().copied())
+        .then_some(outcome)
 }
 
 /// [`match_sources`] with the final spans-validity check (Line 24) left to
@@ -226,6 +242,26 @@ pub fn match_sources_deferring_spans(
     constraints: &Constraints,
     config: &MatchConfig,
     sim: &dyn AttrSimilarity,
+) -> Option<MatchOutcome> {
+    cluster(
+        universe,
+        sources,
+        constraints,
+        config,
+        sim,
+        crate::incremental::rounds,
+    )
+}
+
+/// Algorithm 1 up to (not including) line 24's spans check, with the given
+/// round loop.
+fn cluster(
+    universe: &Universe,
+    sources: &[SourceId],
+    constraints: &Constraints,
+    config: &MatchConfig,
+    sim: &dyn AttrSimilarity,
+    round_loop: RoundLoop,
 ) -> Option<MatchOutcome> {
     let in_s: BTreeSet<SourceId> = sources.iter().copied().collect();
     // GA constraints referencing sources outside S can never be satisfied.
@@ -252,12 +288,7 @@ pub fn match_sources_deferring_spans(
 
     // Lines 5–23: iterate rounds until no merge candidates remain.
     let mut stats = MatchStats::default();
-    let rounds = match config.kernel {
-        MatchKernel::Incremental => {
-            crate::incremental::rounds(&mut clusters, config, sim, &mut stats)
-        }
-        MatchKernel::BruteForce => brute_force_rounds(&mut clusters, config, sim, &mut stats),
-    };
+    let rounds = round_loop(&mut clusters, config, sim, &mut stats);
 
     // Assemble M: alive clusters that represent GAs. Without pruning,
     // never-merged non-keep singletons are still floating around and are
@@ -281,8 +312,7 @@ pub fn match_sources_deferring_spans(
 }
 
 /// The reference round loop: rebuild the full alive-pair list each round,
-/// sort it, and consume it in decreasing similarity. Kept as the oracle the
-/// incremental kernel is equivalence-tested against.
+/// sort it, and consume it in decreasing similarity.
 fn brute_force_rounds(
     clusters: &mut Vec<Cluster>,
     config: &MatchConfig,
@@ -406,6 +436,17 @@ mod tests {
         let measure = NgramJaccard::default();
         let adapter = MeasureAdapter::new(u, &measure);
         match_sources(u, &all_sources(u), constraints, config, &adapter)
+    }
+
+    /// [`jaccard_match`] on the brute-force reference kernel.
+    fn jaccard_match_brute(
+        u: &Universe,
+        constraints: &Constraints,
+        config: &MatchConfig,
+    ) -> Option<MatchOutcome> {
+        let measure = NgramJaccard::default();
+        let adapter = MeasureAdapter::new(u, &measure);
+        match_sources_brute_force(u, &all_sources(u), constraints, config, &adapter)
     }
 
     #[test]
@@ -666,22 +707,8 @@ mod tests {
     /// Runs both kernels on the same problem and asserts identical schema,
     /// quality and round count (work counters are kernel-specific).
     fn assert_kernels_agree(u: &Universe, constraints: &Constraints, config: &MatchConfig) {
-        let incremental = jaccard_match(
-            u,
-            constraints,
-            &MatchConfig {
-                kernel: MatchKernel::Incremental,
-                ..config.clone()
-            },
-        );
-        let brute = jaccard_match(
-            u,
-            constraints,
-            &MatchConfig {
-                kernel: MatchKernel::BruteForce,
-                ..config.clone()
-            },
-        );
+        let incremental = jaccard_match(u, constraints, config);
+        let brute = jaccard_match_brute(u, constraints, config);
         match (incremental, brute) {
             (None, None) => {}
             (Some(a), Some(b)) => {
@@ -857,16 +884,7 @@ mod tests {
                     };
                     let with_classes = match_sources(&u, &ids, &constraints, &config, &classed);
                     let per_pair = match_sources(&u, &ids, &constraints, &config, &plain);
-                    let brute = match_sources(
-                        &u,
-                        &ids,
-                        &constraints,
-                        &MatchConfig {
-                            kernel: MatchKernel::BruteForce,
-                            ..config.clone()
-                        },
-                        &plain,
-                    );
+                    let brute = match_sources_brute_force(&u, &ids, &constraints, &config, &plain);
                     for other in [&per_pair, &brute] {
                         match (&with_classes, other) {
                             (None, None) => {}
@@ -895,15 +913,7 @@ mod tests {
             ..MatchConfig::default()
         };
         let inc = jaccard_match(&u, &Constraints::none(), &config).unwrap();
-        let brute = jaccard_match(
-            &u,
-            &Constraints::none(),
-            &MatchConfig {
-                kernel: MatchKernel::BruteForce,
-                ..config
-            },
-        )
-        .unwrap();
+        let brute = jaccard_match_brute(&u, &Constraints::none(), &config).unwrap();
         assert!(
             inc.stats.linkage_evals < brute.stats.linkage_evals,
             "incremental {} vs brute {}",

@@ -46,8 +46,8 @@ pub mod similarity;
 mod source_mask;
 
 pub use algorithm::{
-    match_sources, match_sources_deferring_spans, MatchConfig, MatchKernel, MatchOutcome,
-    MatchStats,
+    match_sources, match_sources_brute_force, match_sources_deferring_spans, MatchConfig,
+    MatchOutcome, MatchStats,
 };
 pub use linkage::Linkage;
 pub use quality::{ga_quality, schema_quality};

@@ -4,7 +4,8 @@
 use proptest::prelude::*;
 
 use mube_cluster::{
-    ga_quality, match_sources, AttrSimilarity, Linkage, MatchConfig, MatchKernel, MeasureAdapter,
+    ga_quality, match_sources, match_sources_brute_force, AttrSimilarity, Linkage, MatchConfig,
+    MeasureAdapter,
 };
 use mube_schema::{
     attribute::normalize_name, AttrId, Constraints, GlobalAttribute, SourceBuilder, SourceId,
@@ -76,26 +77,8 @@ fn assert_kernels_equivalent(universe: &Universe, constraints: &Constraints, con
     let measure = NgramJaccard::default();
     let sim = F32Quantized(MeasureAdapter::new(universe, &measure));
     let ids: Vec<SourceId> = universe.sources().iter().map(|s| s.id()).collect();
-    let incremental = match_sources(
-        universe,
-        &ids,
-        constraints,
-        &MatchConfig {
-            kernel: MatchKernel::Incremental,
-            ..config.clone()
-        },
-        &sim,
-    );
-    let brute = match_sources(
-        universe,
-        &ids,
-        constraints,
-        &MatchConfig {
-            kernel: MatchKernel::BruteForce,
-            ..config.clone()
-        },
-        &sim,
-    );
+    let incremental = match_sources(universe, &ids, constraints, config, &sim);
+    let brute = match_sources_brute_force(universe, &ids, constraints, config, &sim);
     match (incremental, brute) {
         (None, None) => {}
         (Some(a), Some(b)) => {
@@ -183,26 +166,8 @@ fn sparse_matches_brute(
     let measure = NgramJaccard::default();
     let reference = F32Quantized(MeasureAdapter::new(universe, &measure));
     let sparse = SparseAdapter::new(universe);
-    let incremental = match_sources(
-        universe,
-        ids,
-        constraints,
-        &MatchConfig {
-            kernel: MatchKernel::Incremental,
-            ..config.clone()
-        },
-        &sparse,
-    );
-    let brute = match_sources(
-        universe,
-        ids,
-        constraints,
-        &MatchConfig {
-            kernel: MatchKernel::BruteForce,
-            ..config.clone()
-        },
-        &reference,
-    );
+    let incremental = match_sources(universe, ids, constraints, config, &sparse);
+    let brute = match_sources_brute_force(universe, ids, constraints, config, &reference);
     match (incremental, brute) {
         (None, None) => {}
         (Some(a), Some(b)) => {
@@ -328,7 +293,7 @@ proptest! {
         linkage in arb_linkage(),
         prune in any::<bool>(),
     ) {
-        let config = MatchConfig { theta, beta, linkage, prune, ..MatchConfig::default() };
+        let config = MatchConfig { theta, beta, linkage, prune };
         assert_kernels_equivalent(&universe, &Constraints::none(), &config);
     }
 
@@ -370,7 +335,7 @@ proptest! {
         // construction — the regime where skipping exact-zero pairs is
         // provably lossless for every linkage.
         let ids: Vec<SourceId> = universe.sources().iter().map(|s| s.id()).collect();
-        let config = MatchConfig { theta, beta, linkage, prune, ..MatchConfig::default() };
+        let config = MatchConfig { theta, beta, linkage, prune };
         sparse_matches_brute(&universe, &ids, &Constraints::none(), &config)?;
     }
 
@@ -401,7 +366,7 @@ proptest! {
                 GlobalAttribute::new([AttrId::new(ids[0], 0), AttrId::new(ids[1], 0)]).unwrap(),
             );
         }
-        let config = MatchConfig { theta, beta, linkage, prune, ..MatchConfig::default() };
+        let config = MatchConfig { theta, beta, linkage, prune };
         sparse_matches_brute(&universe, &ids, &constraints, &config)?;
     }
 }

@@ -26,13 +26,11 @@
 //!   any cached entry), so entries stay valid even though the admissible
 //!   region moved.
 //! * [`SpecDelta::MatchInvalidating`] — only the match-dependent half of
-//!   each entry is dropped: feasible entries keep their non-matching
-//!   component values and recompute `Match(S)` alone on the next touch;
-//!   null-schema entries are removed outright (they carry no reusable
-//!   components).
+//!   each entry is dropped: entries keep their non-matching component
+//!   values and recompute `Match(S)` alone on the next touch.
 //!
-//! Entries are epoch-stamped (the epoch advances once per
-//! [`EvalArena::prepare`]) so the engine can report how much of an
+//! Entries are epoch-stamped (the epoch advances once per prepare, which
+//! `Mube::objective_in` runs) so the engine can report how much of an
 //! iteration's work was [`reused`](crate::SolveStats::reused) from earlier
 //! iterations versus [`recombined`](crate::SolveStats::recombined) under
 //! fresh weights versus [`invalidated`](crate::SolveStats::invalidated) by
@@ -48,24 +46,17 @@
 //! [`Session`]: crate::Session
 
 use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Mutex, PoisonError, RwLock};
+use std::sync::{PoisonError, RwLock};
 
 use mube_opt::Subset;
 
 use crate::problem::ProblemSpec;
 
-/// Memo shards. Sixteen is plenty: a portfolio runs one thread per member,
-/// a session host one per session, and the shard index comes from high
-/// fingerprint bits, so concurrent evaluations spread across shards almost
-/// uniformly.
-pub(crate) const SHARDS: usize = 16;
-
-/// Default total entry budget. An entry is one subset plus a K-element
-/// component vector — on the order of a hundred bytes at µBE's universe
-/// sizes — so the default bounds the arena at roughly a hundred megabytes
-/// while being effectively unbounded for whole sessions (which evaluate
-/// tens of thousands of subsets per iteration, not a million).
+/// Default entry budget. An entry is one subset plus a K-element component
+/// vector — on the order of a hundred bytes at µBE's universe sizes — so
+/// the default bounds the arena at roughly a hundred megabytes while being
+/// effectively unbounded for whole sessions (which evaluate tens of
+/// thousands of subsets per iteration, not a million).
 const DEFAULT_CAPACITY: usize = 1 << 20;
 
 /// Recovers a lock guard from a poisoned lock: arena state is always
@@ -73,13 +64,6 @@ const DEFAULT_CAPACITY: usize = 1 << 20;
 /// panicking sibling thread must not wedge the evaluation.
 fn unpoison<G>(r: Result<G, PoisonError<G>>) -> G {
     r.unwrap_or_else(PoisonError::into_inner)
-}
-
-/// Which shard a fingerprint lives in. High bits, so the shard choice is
-/// independent of (and uncorrelated with) the ordered low-bit structure of
-/// the keys within a shard's map.
-fn shard_index(key: u64) -> usize {
-    (key >> 60) as usize & (SHARDS - 1)
 }
 
 /// How a feedback edit between two consecutive [`ProblemSpec`]s relates to
@@ -96,9 +80,9 @@ pub enum SpecDelta {
     /// objective re-derives admissibility against the *current* spec on
     /// every read.
     FeasibilityOnly,
-    /// The matching side changed (θ, β, linkage, kernel, pruning, or the
-    /// GA constraints `G`) — or the weighted QEF *set* changed, which
-    /// relays the cached vectors. Match-dependent state is flushed.
+    /// The matching side changed (θ, β, linkage, pruning, or the GA
+    /// constraints `G`) — or the weighted QEF *set* changed, which relays
+    /// the cached vectors. Match-dependent state is flushed.
     MatchInvalidating,
 }
 
@@ -141,31 +125,22 @@ fn layout_changed(prev: &ProblemSpec, next: &ProblemSpec) -> bool {
             .any(|((a, _), (b, _))| a != b)
 }
 
-/// The match-dependent half of a cached evaluation.
+/// The match-dependent half of a cached evaluation: the schema's `F1`
+/// quality plus the sources it spans.
+///
+/// Whether the schema satisfies the *current* source constraints is
+/// deliberately not recorded: the spans check is re-applied at read time
+/// against `spanned`, which is what keeps these entries valid across
+/// `FeasibilityOnly` edits in both directions (constraint added *and*
+/// constraint dropped).
 #[derive(Debug, Clone, PartialEq)]
-pub(crate) enum MatchPart {
-    /// Clustering produced a schema: its `F1` quality plus the sources it
-    /// spans.
-    ///
-    /// Whether the schema satisfies the *current* source constraints is
-    /// deliberately not recorded: the spans check is re-applied at read
-    /// time against [`spanned`](MatchPart::Feasible::spanned), which is
-    /// what keeps these entries valid across `FeasibilityOnly` edits in
-    /// both directions (constraint added *and* constraint dropped).
-    Feasible {
-        /// The matching-quality QEF value `F1(S)`.
-        quality: f64,
-        /// Sorted indices of the sources the schema spans (contributes at
-        /// least one attribute to a GA). The read-time feasibility check is
-        /// `required ⊆ spanned`.
-        spanned: Vec<u32>,
-    },
-    /// Clustering could not produce any schema on this subset: a required
-    /// source (or GA-constraint source) is missing from the subset itself.
-    /// The objective pre-checks membership before touching the arena, so
-    /// entries like this only arise with memoization disabled — they are
-    /// never actually cached.
-    Infeasible,
+pub(crate) struct MatchPart {
+    /// The matching-quality QEF value `F1(S)`.
+    pub(crate) quality: f64,
+    /// Sorted indices of the sources the schema spans (contributes at least
+    /// one attribute to a GA). The read-time feasibility check is
+    /// `required ⊆ spanned`.
+    pub(crate) spanned: Vec<u32>,
 }
 
 /// A memoized per-subset evaluation: the component vector
@@ -179,19 +154,8 @@ pub(crate) struct ComponentEval {
     /// `components`.
     pub(crate) match_part: Option<MatchPart>,
     /// Non-matching component values, indexed by binding position (the
-    /// matching slot, if any, holds an unused placeholder). Empty for
-    /// null-schema evaluations, whose computation stopped at `Match`.
+    /// matching slot, if any, holds an unused placeholder).
     pub(crate) components: Vec<f64>,
-}
-
-impl ComponentEval {
-    /// The null-schema evaluation: no reusable components.
-    pub(crate) fn infeasible() -> Self {
-        Self {
-            match_part: Some(MatchPart::Infeasible),
-            components: Vec::new(),
-        }
-    }
 }
 
 /// One arena entry: the subset itself (buckets compare exact subsets — a
@@ -209,45 +173,77 @@ pub(crate) struct ArenaEntry {
     pub(crate) weights_version: u64,
 }
 
-/// One shard: fingerprint-keyed buckets plus the entry count (buckets may
-/// hold several exact subsets on fingerprint collision, so the map's `len`
-/// undercounts). The buckets are a `BTreeMap` so every whole-shard walk
-/// (`strip_match_parts`) visits entries in fingerprint order — hash-map
-/// iteration order would vary per process and break the bit-identity
-/// guarantee the moment a walk's side effects become order-sensitive.
+/// What one `EvalArena::prepare` did, kept by the objective built on it
+/// so that no evaluation reads the arena's stamps again.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct Prepared {
+    /// The delta class from the previously prepared spec; `None` on first
+    /// use or after a universe-size change (which clears the arena).
+    pub(crate) delta: Option<SpecDelta>,
+    /// Entries invalidated (stripped or dropped) by this prepare.
+    pub(crate) invalidated: u64,
+    /// The epoch entries inserted from now on carry.
+    pub(crate) epoch: u64,
+    /// The weights version entries inserted from now on carry.
+    pub(crate) weights_version: u64,
+}
+
+/// Everything the arena holds, behind its one lock.
 #[derive(Default)]
-struct ArenaShard {
+struct Store {
+    /// Fingerprint-keyed buckets (a bucket may hold several exact subsets
+    /// on fingerprint collision). A `BTreeMap`, so every whole-store walk
+    /// (`strip_match_parts`) visits entries in fingerprint order.
     buckets: BTreeMap<u64, Vec<ArenaEntry>>,
     entries: usize,
+    /// Advances once per prepare; entries are stamped with it.
+    epoch: u64,
+    /// Advances whenever a prepare sees a different weight vector.
+    weights_version: u64,
+    /// The spec (plus universe size) the arena was last prepared for.
+    prepared_for: Option<(ProblemSpec, usize)>,
+}
+
+impl Store {
+    /// Drops every entry; returns how many were dropped.
+    fn clear(&mut self) -> u64 {
+        let dropped = self.entries as u64;
+        self.buckets.clear();
+        self.entries = 0;
+        dropped
+    }
+
+    /// Strips the match-dependent part from every entry; the next read of
+    /// each recomputes `Match(S)` alone. Returns how many were stripped.
+    fn strip_match_parts(&mut self) -> u64 {
+        let mut stripped = 0u64;
+        for entry in self.buckets.values_mut().flatten() {
+            if entry.eval.match_part.take().is_some() {
+                stripped += 1;
+            }
+        }
+        stripped
+    }
+
+    fn find(&self, key: u64, subset: &Subset) -> Option<&ArenaEntry> {
+        self.buckets.get(&key)?.iter().find(|e| e.subset == *subset)
+    }
 }
 
 /// A persistent, thread-safe store of [`ComponentEval`]s that spans µBE
 /// iterations. See the module docs for the invalidation model.
 ///
-/// All interior state is `Sync`: shards sit behind [`RwLock`]s, stamps and
-/// counters are atomic, so a [`mube_opt::Portfolio`]'s member threads can
-/// evaluate concurrently against one arena and share each other's memoized
-/// `Match(S)` work — within a solve *and* across a session's iterations.
+/// One [`RwLock`] guards the whole store, held only for a probe, an
+/// insert, a restore or a prepare — never while `Match(S)` runs — so a
+/// [`mube_opt::Portfolio`]'s member threads can evaluate concurrently
+/// against one arena and share each other's memoized `Match(S)` work,
+/// within a solve *and* across a session's iterations.
 pub struct EvalArena {
-    shards: [RwLock<ArenaShard>; SHARDS],
-    /// Advances once per [`EvalArena::prepare`]; entries are stamped with
-    /// the epoch they were inserted in.
-    epoch: AtomicU64,
-    /// Advances whenever `prepare` sees a different weight vector; lets
-    /// reads distinguish plain reuse from reweighted recombination.
-    weights_version: AtomicU64,
-    /// Total entry budget across all shards; a shard that fills its slice
-    /// of the budget is cleared wholesale (coarse, but eviction is a
-    /// safety valve here, not a working-set policy).
+    store: RwLock<Store>,
+    /// Entry budget: an insert into a full arena clears it wholesale first
+    /// (coarse, but eviction is a safety valve here, not a working-set
+    /// policy).
     capacity: usize,
-    /// Entries invalidated (stripped or removed) by the most recent
-    /// `prepare`, for [`SolveStats::invalidated`](crate::SolveStats).
-    last_invalidated: AtomicU64,
-    /// The delta class the most recent `prepare` computed (`None` before
-    /// any spec was seen, or right after a universe change reset).
-    last_delta: Mutex<Option<SpecDelta>>,
-    /// The spec (plus universe size) the arena was last prepared for.
-    snapshot: Mutex<Option<(ProblemSpec, usize)>>,
 }
 
 impl Default for EvalArena {
@@ -260,19 +256,14 @@ impl EvalArena {
     /// An empty arena, bounded at roughly a million entries.
     pub fn new() -> Self {
         Self {
-            shards: std::array::from_fn(|_| RwLock::new(ArenaShard::default())),
-            epoch: AtomicU64::new(0),
-            weights_version: AtomicU64::new(0),
+            store: RwLock::new(Store::default()),
             capacity: DEFAULT_CAPACITY,
-            last_invalidated: AtomicU64::new(0),
-            last_delta: Mutex::new(None),
-            snapshot: Mutex::new(None),
         }
     }
 
     /// Number of memoized evaluations currently held.
     pub fn len(&self) -> usize {
-        self.shards.iter().map(|s| unpoison(s.read()).entries).sum()
+        unpoison(self.store.read()).entries
     }
 
     /// Whether the arena holds no evaluations.
@@ -280,148 +271,66 @@ impl EvalArena {
         self.len() == 0
     }
 
-    /// The delta class computed by the most recent [`EvalArena::prepare`].
-    pub fn last_delta(&self) -> Option<SpecDelta> {
-        *unpoison(self.last_delta.lock())
-    }
-
-    /// Entries invalidated by the most recent [`EvalArena::prepare`].
-    pub fn last_invalidated(&self) -> u64 {
-        self.last_invalidated.load(Ordering::Relaxed)
-    }
-
-    /// An empty arena bounded to roughly `capacity` entries across all
-    /// shards (minimum one entry per shard), so tests can exercise
-    /// eviction at small sizes.
+    /// An empty arena bounded to `capacity` entries (minimum one), so tests
+    /// can exercise eviction at small sizes.
     #[cfg(test)]
     pub(crate) fn with_capacity(capacity: usize) -> Self {
         Self {
-            capacity,
+            capacity: capacity.max(1),
             ..Self::new()
         }
     }
 
-    /// Drops every memoized evaluation (stamps and the spec snapshot are
+    /// Drops every memoized evaluation (stamps and the prepared spec are
     /// kept). Returns the number of entries dropped.
-    pub fn clear(&self) -> u64 {
-        let mut dropped = 0u64;
-        for shard in &self.shards {
-            let mut guard = unpoison(shard.write());
-            dropped += guard.entries as u64;
-            guard.buckets.clear();
-            guard.entries = 0;
-        }
-        dropped
+    pub(crate) fn clear(&self) -> u64 {
+        unpoison(self.store.write()).clear()
     }
 
     /// Points the arena at the next iteration's spec: classifies the edit
     /// against the previously prepared spec, applies the invalidation the
     /// class demands, advances the epoch (and the weights version when the
-    /// weights moved), and records the spec for the next diff.
-    ///
-    /// Returns `None` on first use or after a universe-size change (which
-    /// clears the arena — there is no meaningful delta to report), the
-    /// [`SpecDelta`] otherwise.
-    pub fn prepare(&self, spec: &ProblemSpec, universe_len: usize) -> Option<SpecDelta> {
-        enum Invalidate {
-            Nothing,
-            Clear,
-            StripMatchParts,
-        }
-        // Classify against the previous spec and swap the snapshot inside
-        // its own lock scope: `clear`/`strip_match_parts` take shard write
-        // locks, and the arena never holds two of its locks at once (the
-        // `lock-discipline` lint enforces this shape statically).
-        let (delta, action, weights_moved) = {
-            let mut snap = unpoison(self.snapshot.lock());
-            let out = match snap.as_ref() {
-                Some((prev, len)) if *len == universe_len => {
-                    let delta = SpecDelta::classify(prev, spec);
-                    let action = match delta {
-                        SpecDelta::MatchInvalidating if layout_changed(prev, spec) => {
-                            Invalidate::Clear
-                        }
-                        SpecDelta::MatchInvalidating => Invalidate::StripMatchParts,
-                        _ => Invalidate::Nothing,
-                    };
-                    (Some(delta), action, prev.weights != spec.weights)
-                }
-                // Different universe: nothing cached can be trusted.
-                Some(_) => (None, Invalidate::Clear, false),
-                None => (None, Invalidate::Nothing, false),
-            };
-            *snap = Some((spec.clone(), universe_len));
-            out
-        };
-        let invalidated = match action {
-            Invalidate::Clear => self.clear(),
-            Invalidate::StripMatchParts => self.strip_match_parts(),
-            Invalidate::Nothing => 0,
-        };
-        self.last_invalidated.store(invalidated, Ordering::Relaxed);
-        if weights_moved {
-            self.weights_version.fetch_add(1, Ordering::Relaxed);
-        }
-        self.epoch.fetch_add(1, Ordering::Relaxed);
-        *unpoison(self.last_delta.lock()) = delta;
-        delta
-    }
-
-    /// Strips the match-dependent part from every entry: feasible entries
-    /// keep their non-matching components (the next read recomputes
-    /// `Match(S)` alone), null-schema entries are removed outright.
-    /// Returns how many entries were touched.
-    fn strip_match_parts(&self) -> u64 {
-        let mut invalidated = 0u64;
-        for shard in &self.shards {
-            let mut guard = unpoison(shard.write());
-            let mut removed = 0usize;
-            for bucket in guard.buckets.values_mut() {
-                bucket.retain_mut(|entry| match entry.eval.match_part {
-                    Some(MatchPart::Feasible { .. }) => {
-                        entry.eval.match_part = None;
-                        invalidated += 1;
-                        true
-                    }
-                    Some(MatchPart::Infeasible) => {
-                        invalidated += 1;
-                        removed += 1;
-                        false
-                    }
-                    None => true,
-                });
+    /// weights moved), and records the spec for the next diff — all under
+    /// one write guard.
+    pub(crate) fn prepare(&self, spec: &ProblemSpec, universe_len: usize) -> Prepared {
+        let mut store = unpoison(self.store.write());
+        let (delta, invalidated, weights_moved) = match store.prepared_for.take() {
+            Some((prev, len)) if len == universe_len => {
+                let delta = SpecDelta::classify(&prev, spec);
+                let invalidated = match delta {
+                    SpecDelta::MatchInvalidating if layout_changed(&prev, spec) => store.clear(),
+                    SpecDelta::MatchInvalidating => store.strip_match_parts(),
+                    _ => 0,
+                };
+                (Some(delta), invalidated, prev.weights != spec.weights)
             }
-            guard.buckets.retain(|_, bucket| !bucket.is_empty());
-            guard.entries -= removed;
+            // Different universe: nothing cached can be trusted.
+            Some(_) => (None, store.clear(), false),
+            None => (None, 0, false),
+        };
+        if weights_moved {
+            store.weights_version += 1;
         }
-        invalidated
+        store.epoch += 1;
+        store.prepared_for = Some((spec.clone(), universe_len));
+        Prepared {
+            delta,
+            invalidated,
+            epoch: store.epoch,
+            weights_version: store.weights_version,
+        }
     }
 
-    /// Current epoch stamp.
-    pub(crate) fn epoch(&self) -> u64 {
-        self.epoch.load(Ordering::Relaxed)
-    }
-
-    /// Current weights-version stamp.
-    pub(crate) fn weights_version(&self) -> u64 {
-        self.weights_version.load(Ordering::Relaxed)
-    }
-
-    /// Reads the entry for `subset` under the shard's read lock, applying
-    /// `read` to it while the lock is held (so combination needs no clone).
+    /// Reads the entry for `subset` under the read lock, applying `read` to
+    /// it while the lock is held (so combination needs no clone).
     pub(crate) fn probe<R>(
         &self,
         key: u64,
         subset: &Subset,
         read: impl FnOnce(&ArenaEntry) -> R,
     ) -> Option<R> {
-        let guard = unpoison(self.shards[shard_index(key)].read());
-        guard
-            .buckets
-            .get(&key)?
-            .iter()
-            .find(|e| e.subset == *subset)
-            .map(read)
+        let store = unpoison(self.store.read());
+        store.find(key, subset).map(read)
     }
 
     /// Inserts an evaluation stamped with the current epoch and weights
@@ -430,27 +339,23 @@ impl EvalArena {
     /// of entries dropped by capacity eviction, for the caller's
     /// `evictions` accounting.
     pub(crate) fn insert(&self, key: u64, subset: &Subset, eval: ComponentEval) -> u64 {
-        let mut guard = unpoison(self.shards[shard_index(key)].write());
-        if let Some(bucket) = guard.buckets.get(&key) {
-            if bucket.iter().any(|e| e.subset == *subset) {
-                return 0;
-            }
+        let mut store = unpoison(self.store.write());
+        if store.find(key, subset).is_some() {
+            return 0;
         }
-        let per_shard = self.capacity.div_ceil(SHARDS).max(1);
-        let mut dropped = 0u64;
-        if guard.entries >= per_shard {
-            dropped = guard.entries as u64;
-            guard.buckets.clear();
-            guard.entries = 0;
-        }
+        let dropped = if store.entries >= self.capacity {
+            store.clear()
+        } else {
+            0
+        };
         let entry = ArenaEntry {
             subset: subset.clone(),
             eval,
-            epoch: self.epoch(),
-            weights_version: self.weights_version(),
+            epoch: store.epoch,
+            weights_version: store.weights_version,
         };
-        guard.buckets.entry(key).or_default().push(entry);
-        guard.entries += 1;
+        store.buckets.entry(key).or_default().push(entry);
+        store.entries += 1;
         dropped
     }
 
@@ -459,13 +364,13 @@ impl EvalArena {
     /// cross-iteration survivor) and only writes if the slot is still
     /// empty — a racing duplicate recompute produced the same value.
     pub(crate) fn restore_match_part(&self, key: u64, subset: &Subset, part: MatchPart) {
-        let mut guard = unpoison(self.shards[shard_index(key)].write());
-        if let Some(bucket) = guard.buckets.get_mut(&key) {
-            if let Some(entry) = bucket.iter_mut().find(|e| e.subset == *subset) {
-                if entry.eval.match_part.is_none() {
-                    entry.eval.match_part = Some(part);
-                }
-            }
+        let mut store = unpoison(self.store.write());
+        let entry = store
+            .buckets
+            .get_mut(&key)
+            .and_then(|bucket| bucket.iter_mut().find(|e| e.subset == *subset));
+        if let Some(entry) = entry {
+            entry.eval.match_part.get_or_insert(part);
         }
     }
 }
@@ -480,20 +385,8 @@ mod tests {
         ProblemSpec::new(5)
     }
 
-    fn entry_eval(q: f64) -> ComponentEval {
-        ComponentEval {
-            match_part: Some(MatchPart::Feasible {
-                quality: q,
-                spanned: vec![1, 4],
-            }),
-            components: vec![0.0, 0.5],
-        }
-    }
-
-    #[test]
-    fn classify_weights_only() {
-        let a = spec();
-        let b = spec().with_weights(
+    fn reweighted() -> ProblemSpec {
+        spec().with_weights(
             Weights::new([
                 ("matching", 0.5),
                 ("cardinality", 0.2),
@@ -502,8 +395,36 @@ mod tests {
                 ("mttf", 0.1),
             ])
             .unwrap(),
+        )
+    }
+
+    fn part(quality: f64, spanned: &[u32]) -> MatchPart {
+        MatchPart {
+            quality,
+            spanned: spanned.to_vec(),
+        }
+    }
+
+    fn entry_eval(q: f64) -> ComponentEval {
+        ComponentEval {
+            match_part: Some(part(q, &[1, 4])),
+            components: vec![0.0, 0.5],
+        }
+    }
+
+    fn match_part_of(arena: &EvalArena, s: &Subset) -> Option<MatchPart> {
+        arena
+            .probe(s.fingerprint(), s, |e| e.eval.match_part.clone())
+            .flatten()
+    }
+
+    #[test]
+    fn classify_weights_only() {
+        let a = spec();
+        assert_eq!(
+            SpecDelta::classify(&a, &reweighted()),
+            SpecDelta::WeightsOnly
         );
-        assert_eq!(SpecDelta::classify(&a, &b), SpecDelta::WeightsOnly);
         assert_eq!(SpecDelta::classify(&a, &a.clone()), SpecDelta::Unchanged);
     }
 
@@ -542,87 +463,64 @@ mod tests {
     #[test]
     fn classify_precedence_strongest_wins() {
         let a = spec();
-        let b = spec()
+        let b = reweighted()
             .with_theta(0.6)
-            .with_source_constraint(SourceId(1))
-            .with_weights(
-                Weights::new([
-                    ("matching", 0.5),
-                    ("cardinality", 0.2),
-                    ("coverage", 0.1),
-                    ("redundancy", 0.1),
-                    ("mttf", 0.1),
-                ])
-                .unwrap(),
-            );
+            .with_source_constraint(SourceId(1));
         assert_eq!(SpecDelta::classify(&a, &b), SpecDelta::MatchInvalidating);
-        let c = spec().with_source_constraint(SourceId(1)).with_weights(
-            Weights::new([
-                ("matching", 0.5),
-                ("cardinality", 0.2),
-                ("coverage", 0.1),
-                ("redundancy", 0.1),
-                ("mttf", 0.1),
-            ])
-            .unwrap(),
-        );
+        let c = reweighted().with_source_constraint(SourceId(1));
         assert_eq!(SpecDelta::classify(&a, &c), SpecDelta::FeasibilityOnly);
     }
 
     #[test]
     fn prepare_first_use_reports_no_delta() {
         let arena = EvalArena::new();
-        assert_eq!(arena.prepare(&spec(), 10), None);
-        assert_eq!(arena.last_delta(), None);
-        assert_eq!(arena.last_invalidated(), 0);
-        assert_eq!(arena.epoch(), 1);
+        let prepared = arena.prepare(&spec(), 10);
+        assert_eq!(
+            prepared,
+            Prepared {
+                delta: None,
+                invalidated: 0,
+                epoch: 1,
+                weights_version: 0,
+            }
+        );
     }
 
     #[test]
     fn prepare_weights_only_keeps_entries_and_bumps_version() {
         let arena = EvalArena::new();
-        arena.prepare(&spec(), 10);
+        let first = arena.prepare(&spec(), 10);
         let s = Subset::from_indices(10, [1, 2]);
         arena.insert(s.fingerprint(), &s, entry_eval(0.9));
-        let v0 = arena.weights_version();
-        let reweighted = spec().with_weights(
-            Weights::new([
-                ("matching", 0.5),
-                ("cardinality", 0.2),
-                ("coverage", 0.1),
-                ("redundancy", 0.1),
-                ("mttf", 0.1),
-            ])
-            .unwrap(),
-        );
-        assert_eq!(arena.prepare(&reweighted, 10), Some(SpecDelta::WeightsOnly));
+        let second = arena.prepare(&reweighted(), 10);
+        assert_eq!(second.delta, Some(SpecDelta::WeightsOnly));
+        assert_eq!(second.invalidated, 0);
+        assert_eq!(second.weights_version, first.weights_version + 1);
+        assert_eq!(second.epoch, first.epoch + 1);
         assert_eq!(arena.len(), 1);
-        assert_eq!(arena.last_invalidated(), 0);
-        assert_eq!(arena.weights_version(), v0 + 1);
+        // The entry keeps the stamps it was inserted under.
+        let stamps = arena.probe(s.fingerprint(), &s, |e| (e.epoch, e.weights_version));
+        assert_eq!(stamps, Some((first.epoch, first.weights_version)));
     }
 
     #[test]
-    fn prepare_match_invalidating_strips_feasible_and_drops_infeasible() {
+    fn prepare_match_invalidating_strips_every_match_part() {
         let arena = EvalArena::new();
         arena.prepare(&spec(), 10);
         let a = Subset::from_indices(10, [1]);
         let b = Subset::from_indices(10, [2]);
         arena.insert(a.fingerprint(), &a, entry_eval(0.8));
-        arena.insert(b.fingerprint(), &b, ComponentEval::infeasible());
+        arena.insert(b.fingerprint(), &b, entry_eval(0.6));
+        let prepared = arena.prepare(&spec().with_theta(0.5), 10);
+        assert_eq!(prepared.delta, Some(SpecDelta::MatchInvalidating));
+        assert_eq!(prepared.invalidated, 2);
+        // Both entries survive with their components and no match part.
         assert_eq!(arena.len(), 2);
+        assert_eq!(match_part_of(&arena, &a), None);
         assert_eq!(
-            arena.prepare(&spec().with_theta(0.5), 10),
-            Some(SpecDelta::MatchInvalidating)
+            arena.probe(b.fingerprint(), &b, |e| e.eval.components.clone()),
+            Some(vec![0.0, 0.5])
         );
-        assert_eq!(arena.last_invalidated(), 2);
-        // The feasible entry survives with its match part stripped; the
-        // null-schema entry is gone.
-        assert_eq!(arena.len(), 1);
-        let stripped = arena
-            .probe(a.fingerprint(), &a, |e| e.eval.match_part.clone())
-            .expect("feasible entry survives");
-        assert_eq!(stripped, None);
-        assert!(arena.probe(b.fingerprint(), &b, |_| ()).is_none());
     }
 
     #[test]
@@ -632,12 +530,10 @@ mod tests {
         let s = Subset::from_indices(10, [3]);
         arena.insert(s.fingerprint(), &s, entry_eval(0.7));
         let renamed = spec().with_weights(Weights::new([("cardinality", 1.0)]).unwrap());
-        assert_eq!(
-            arena.prepare(&renamed, 10),
-            Some(SpecDelta::MatchInvalidating)
-        );
+        let prepared = arena.prepare(&renamed, 10);
+        assert_eq!(prepared.delta, Some(SpecDelta::MatchInvalidating));
+        assert_eq!(prepared.invalidated, 1);
         assert!(arena.is_empty());
-        assert_eq!(arena.last_invalidated(), 1);
     }
 
     #[test]
@@ -646,28 +542,29 @@ mod tests {
         arena.prepare(&spec(), 10);
         let s = Subset::from_indices(10, [3]);
         arena.insert(s.fingerprint(), &s, entry_eval(0.7));
-        assert_eq!(arena.prepare(&spec(), 12), None);
+        let prepared = arena.prepare(&spec(), 12);
+        assert_eq!(prepared.delta, None);
+        assert_eq!(prepared.invalidated, 1);
         assert!(arena.is_empty());
-        assert_eq!(arena.last_invalidated(), 1);
-        assert_eq!(arena.last_delta(), None);
     }
 
     #[test]
     fn insert_is_idempotent_and_capacity_evicts() {
-        // Capacity of SHARDS means one entry per shard: the next insert
-        // into the same shard clears it first.
-        let arena = EvalArena::with_capacity(SHARDS);
+        let arena = EvalArena::with_capacity(4);
         arena.prepare(&spec(), 64);
         let s = Subset::from_indices(64, [1]);
         assert_eq!(arena.insert(s.fingerprint(), &s, entry_eval(0.1)), 0);
         assert_eq!(arena.insert(s.fingerprint(), &s, entry_eval(0.1)), 0);
         assert_eq!(arena.len(), 1);
-        let mut dropped_total = 0u64;
-        for i in 2..40 {
-            let t = Subset::from_indices(64, [i]);
-            dropped_total += arena.insert(t.fingerprint(), &t, entry_eval(0.2));
-        }
-        assert!(dropped_total > 0, "tiny capacity must evict");
+        let dropped: Vec<u64> = (2..6)
+            .map(|i| {
+                let t = Subset::from_indices(64, [i]);
+                arena.insert(t.fingerprint(), &t, entry_eval(0.2))
+            })
+            .collect();
+        // The fifth distinct insert finds the arena full and clears it.
+        assert_eq!(dropped, [0, 0, 0, 4]);
+        assert_eq!(arena.len(), 1);
     }
 
     #[test]
@@ -678,42 +575,10 @@ mod tests {
         let key = s.fingerprint();
         arena.insert(key, &s, entry_eval(0.9));
         arena.prepare(&spec().with_theta(0.6), 10); // strips the match part
-        arena.restore_match_part(
-            key,
-            &s,
-            MatchPart::Feasible {
-                quality: 0.4,
-                spanned: vec![1, 4],
-            },
-        );
-        let part = arena
-            .probe(key, &s, |e| e.eval.match_part.clone())
-            .flatten();
-        assert_eq!(
-            part,
-            Some(MatchPart::Feasible {
-                quality: 0.4,
-                spanned: vec![1, 4],
-            })
-        );
+        arena.restore_match_part(key, &s, part(0.4, &[1, 4]));
+        assert_eq!(match_part_of(&arena, &s), Some(part(0.4, &[1, 4])));
         // A second restore is a no-op: the slot is taken.
-        arena.restore_match_part(
-            key,
-            &s,
-            MatchPart::Feasible {
-                quality: 0.5,
-                spanned: vec![4],
-            },
-        );
-        let part = arena
-            .probe(key, &s, |e| e.eval.match_part.clone())
-            .flatten();
-        assert_eq!(
-            part,
-            Some(MatchPart::Feasible {
-                quality: 0.4,
-                spanned: vec![1, 4],
-            })
-        );
+        arena.restore_match_part(key, &s, part(0.5, &[4]));
+        assert_eq!(match_part_of(&arena, &s), Some(part(0.4, &[1, 4])));
     }
 }

@@ -229,7 +229,7 @@ impl Mube {
     /// [`EvalArena`]. The spec is validated and its weight names resolved
     /// first; only a spec that passes both points the arena at itself
     /// (classifying the delta against the previous spec and invalidating
-    /// accordingly — see [`EvalArena::prepare`]), so a rejected spec leaves
+    /// accordingly — see the [`arena`](crate::arena) docs), so a rejected spec leaves
     /// the arena untouched. Entries memoized during the solve persist in
     /// the arena for the next call.
     ///
@@ -245,7 +245,7 @@ impl Mube {
     ) -> Result<MubeObjective, MubeError> {
         self.validate_spec(spec)?;
         let bindings = self.resolve_bindings(spec)?;
-        arena.prepare(spec, self.universe().len());
+        let prepared = arena.prepare(spec, self.universe().len());
         Ok(MubeObjective::new(
             Arc::clone(&self.snapshot),
             bindings,
@@ -253,6 +253,7 @@ impl Mube {
             spec.match_config.clone(),
             spec.max_sources.min(self.universe().len().max(1)),
             Arc::clone(arena),
+            prepared,
         ))
     }
 
@@ -284,7 +285,7 @@ impl Mube {
             .match_schema(&selected)
             .ok_or(MubeError::InconsistentSolverResult)?;
         let qef_values: BTreeMap<String, (f64, f64)> = objective
-            .component_values(&selected)
+            .component_values_given(&selected, outcome.quality)
             .into_iter()
             .map(|(name, w, v)| (name, (w, v)))
             .collect();

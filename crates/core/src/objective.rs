@@ -9,16 +9,16 @@
 //! `Match(S)` calls.
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, PoisonError};
+use std::sync::Arc;
 
 use mube_cluster::{
     match_sources, match_sources_deferring_spans, MatchConfig, MatchOutcome, MatchStats,
 };
-use mube_opt::{CancelToken, LpConstraint, LpProblem, Relation, Subset, SubsetProblem};
+use mube_opt::{CancelToken, Subset, SubsetProblem};
 use mube_qef::{CharacteristicQef, Qef};
 use mube_schema::{Constraints, MediatedSchema, SourceId, SourceSelection};
 
-use crate::arena::{ComponentEval, EvalArena, MatchPart, SpecDelta};
+use crate::arena::{ComponentEval, EvalArena, MatchPart, Prepared, SpecDelta};
 use crate::snapshot::UniverseSnapshot;
 
 /// A weight bound to the function it scales.
@@ -32,11 +32,36 @@ pub(crate) enum QefBinding {
     Characteristic(CharacteristicQef),
 }
 
-/// Recovers a lock guard from a poisoned lock: counter state is always
-/// internally consistent (every update completes under one guard), so a
-/// panicking sibling thread must not wedge the evaluation.
-fn unpoison<G>(r: Result<G, PoisonError<G>>) -> G {
-    r.unwrap_or_else(PoisonError::into_inner)
+/// [`MatchStats`] summed over every thread's `Match(S)` calls, one atomic
+/// per counter, so no evaluation takes a lock to report its work.
+#[derive(Default)]
+struct MatchCounters {
+    linkage_evals: AtomicU64,
+    lw_updates: AtomicU64,
+    heap_pushes: AtomicU64,
+    stale_pops: AtomicU64,
+}
+
+impl MatchCounters {
+    fn absorb(&self, stats: &MatchStats) {
+        self.linkage_evals
+            .fetch_add(stats.linkage_evals, Ordering::Relaxed);
+        self.lw_updates
+            .fetch_add(stats.lw_updates, Ordering::Relaxed);
+        self.heap_pushes
+            .fetch_add(stats.heap_pushes, Ordering::Relaxed);
+        self.stale_pops
+            .fetch_add(stats.stale_pops, Ordering::Relaxed);
+    }
+
+    fn load(&self) -> MatchStats {
+        MatchStats {
+            linkage_evals: self.linkage_evals.load(Ordering::Relaxed),
+            lw_updates: self.lw_updates.load(Ordering::Relaxed),
+            heap_pushes: self.heap_pushes.load(Ordering::Relaxed),
+            stale_pops: self.stale_pops.load(Ordering::Relaxed),
+        }
+    }
 }
 
 /// Sorted indices of the sources a schema spans — the constraint-free basis
@@ -54,25 +79,13 @@ fn spanned_of(schema: &MediatedSchema) -> Vec<u32> {
 /// prune the optimum away and break branch-and-bound exactness.
 const BOUND_SLACK: f64 = 1e-9;
 
-/// Per-binding admissible caps over the feasible completions of one
-/// branch-and-bound node, plus the modular decompositions the LP
-/// relaxation reuses.
-struct BindingCaps {
-    /// `caps[k] ≥ F_k(T)` for every feasible completion `T` — already the
-    /// tightest available of the monotone / modular top-`k` /
-    /// characteristic / trivial `1.0` caps for binding `k`.
-    caps: Vec<f64>,
-    /// `(binding index, per-source gains)` for each exactly-modular QEF.
-    modular: Vec<(usize, Vec<f64>)>,
-}
-
 /// What an arena probe produced for a subset.
 enum Probe {
     /// A complete evaluation: the combined `Q(S)` under current weights.
     Full(f64),
     /// A cross-iteration survivor whose match part was stripped by a
     /// `MatchInvalidating` edit: the non-matching components, cloned out so
-    /// `Match(S)` alone can be recomputed outside the shard lock.
+    /// `Match(S)` alone can be recomputed outside the arena lock.
     Stale(Vec<f64>),
 }
 
@@ -81,8 +94,8 @@ enum Probe {
 /// revisits neighbourhoods constantly, and `Match(S)` dominates the cost of
 /// an evaluation.
 ///
-/// The objective is `Sync` and all interior state is thread-safe: the memo
-/// arena is sharded behind `RwLock`s and the counters are atomic, so a
+/// The objective is `Sync` and holds no lock of its own: the memo arena
+/// sits behind one `RwLock` and every counter is atomic, so a
 /// [`mube_opt::Portfolio`]'s member threads can evaluate concurrently
 /// against *one* objective and share each other's memoized `Match(S)`
 /// work.
@@ -129,17 +142,16 @@ pub struct MubeObjective {
     /// since; `None` (or a token that never fires) leaves every evaluation
     /// and every solver trajectory bit-identical to an unarmed run.
     cancel: Option<(CancelToken, u64)>,
-    /// The delta class the arena computed when it was pointed at this
-    /// objective's spec (`None` for one-shot solves on a fresh arena).
-    spec_delta: Option<SpecDelta>,
-    /// Entries the arena invalidated when preparing for this spec.
-    invalidated: u64,
+    /// What pointing the arena at this objective's spec did: the delta
+    /// class, the entries it invalidated, and the epoch and weights
+    /// version that tell survivors and recombinations apart on a read.
+    prepared: Prepared,
     match_calls: AtomicU64,
     cache_hits: AtomicU64,
     reused: AtomicU64,
     recombined: AtomicU64,
     evictions: AtomicU64,
-    match_stats: Mutex<MatchStats>,
+    match_stats: MatchCounters,
 }
 
 impl MubeObjective {
@@ -150,6 +162,7 @@ impl MubeObjective {
         match_config: MatchConfig,
         max_sources: usize,
         arena: Arc<EvalArena>,
+        prepared: Prepared,
     ) -> Self {
         let mut pinned: Vec<usize> = constraints
             .required_sources()
@@ -162,8 +175,6 @@ impl MubeObjective {
         let has_matching = bindings
             .iter()
             .any(|(_, b)| matches!(b, QefBinding::Matching));
-        let spec_delta = arena.last_delta();
-        let invalidated = arena.last_invalidated();
         Self {
             snapshot,
             bindings,
@@ -176,14 +187,13 @@ impl MubeObjective {
             arena,
             caching: AtomicBool::new(true),
             cancel: None,
-            spec_delta,
-            invalidated,
+            prepared,
             match_calls: AtomicU64::new(0),
             cache_hits: AtomicU64::new(0),
             reused: AtomicU64::new(0),
             recombined: AtomicU64::new(0),
             evictions: AtomicU64::new(0),
-            match_stats: Mutex::new(MatchStats::default()),
+            match_stats: MatchCounters::default(),
         }
     }
 
@@ -243,13 +253,13 @@ impl MubeObjective {
 
     /// Arena entries invalidated by the spec edit that led to this solve.
     pub fn invalidated(&self) -> u64 {
-        self.invalidated
+        self.prepared.invalidated
     }
 
     /// How the spec that built this objective differs from the previous
     /// spec evaluated on the same arena (`None` on a fresh arena).
     pub fn spec_delta(&self) -> Option<SpecDelta> {
-        self.spec_delta
+        self.prepared.delta
     }
 
     /// Number of memoized entries dropped by capacity eviction.
@@ -260,22 +270,35 @@ impl MubeObjective {
     /// Aggregated `Match(S)` work counters over every (uncached) objective
     /// evaluation so far.
     pub fn match_stats(&self) -> MatchStats {
-        *unpoison(self.match_stats.lock())
+        self.match_stats.load()
     }
 
     /// Evaluates every component QEF for a selection, returning
     /// `(name, weight, value)` triples — used to report per-QEF values on
     /// the final solution.
     pub fn component_values(&self, ids: &[SourceId]) -> Vec<(String, f64, f64)> {
+        let quality = if self.has_matching {
+            self.match_schema(ids).map_or(0.0, |o| o.quality)
+        } else {
+            0.0
+        };
+        self.component_values_given(ids, quality)
+    }
+
+    /// [`Self::component_values`] with the matching quality `F1` already
+    /// known, so a caller holding the selection's `Match` outcome does not
+    /// run `Match(S)` again.
+    pub(crate) fn component_values_given(
+        &self,
+        ids: &[SourceId],
+        match_quality: f64,
+    ) -> Vec<(String, f64, f64)> {
         let selection =
             SourceSelection::from_ids(self.snapshot.universe().len(), ids.iter().copied());
         self.bindings
             .iter()
             .map(|(w, binding)| match binding {
-                QefBinding::Matching => {
-                    let quality = self.match_schema(ids).map_or(0.0, |o| o.quality);
-                    ("matching".to_owned(), *w, quality)
-                }
+                QefBinding::Matching => ("matching".to_owned(), *w, match_quality),
                 QefBinding::Registered(idx) => {
                     let qef = self.snapshot.qef(*idx);
                     (
@@ -342,6 +365,30 @@ impl MubeObjective {
         q
     }
 
+    /// Runs `Match(S)` spans-deferred and counts it: the memoizable match
+    /// part, or `None` when a required source is missing from `S` itself.
+    fn run_match(&self, subset: &Subset) -> Option<MatchPart> {
+        let ids: Vec<SourceId> = subset.iter().map(|i| SourceId(i as u32)).collect();
+        self.match_calls.fetch_add(1, Ordering::Relaxed);
+        let outcome = self.match_schema_deferred(&ids)?;
+        self.match_stats.absorb(&outcome.stats);
+        Some(MatchPart {
+            quality: outcome.quality,
+            spanned: spanned_of(&outcome.schema),
+        })
+    }
+
+    /// `Q(S)` from a match part and the non-matching components: `-∞` when
+    /// the schema does not span a currently constrained source — the
+    /// verdict a cold `Match(S)` would reach under this spec.
+    fn value_with(&self, part: &MatchPart, components: &[f64]) -> f64 {
+        if self.spans_satisfied(&part.spanned) {
+            self.combine(part.quality, components)
+        } else {
+            f64::NEG_INFINITY
+        }
+    }
+
     /// Full evaluation: computes every component in binding order, returning
     /// the combined `Q(S)` plus the memoizable component vector.
     ///
@@ -351,57 +398,42 @@ impl MubeObjective {
     /// (`-∞`, exactly as the checked `Match(S)` would), but the outcome —
     /// quality and spanned set — and the remaining components are
     /// still computed and cached, because none of them depend on which
-    /// sources are constrained. Only a subset missing a required source
-    /// outright aborts with no reusable components.
-    fn compute_eval(&self, subset: &Subset) -> (f64, ComponentEval) {
-        let ids: Vec<SourceId> = subset.iter().map(|i| SourceId(i as u32)).collect();
+    /// sources are constrained. `None` only when a required source is
+    /// missing from `S` itself, which the memoizing path rules out before
+    /// it gets here.
+    fn compute_eval(&self, subset: &Subset) -> Option<(f64, ComponentEval)> {
         // Subset and SourceSelection share the packed-word layout over the
         // same universe: convert by word copy, not by re-inserting members.
         let selection = SourceSelection::from_words(self.snapshot.universe().len(), subset.words());
         let mut components = vec![0.0f64; self.bindings.len()];
         let mut match_part = None;
-        let mut spans_ok = true;
         let mut q = 0.0;
         for (i, (w, binding)) in self.bindings.iter().enumerate() {
             let value = match self.qef_value(binding, &selection) {
-                Some(value) => value,
-                // The matching binding: run `Match(S)`.
-                None => {
-                    self.match_calls.fetch_add(1, Ordering::Relaxed);
-                    match self.match_schema_deferred(&ids) {
-                        Some(outcome) => {
-                            unpoison(self.match_stats.lock()).absorb(&outcome.stats);
-                            let spanned = spanned_of(&outcome.schema);
-                            spans_ok = self.spans_satisfied(&spanned);
-                            match_part = Some(MatchPart::Feasible {
-                                quality: outcome.quality,
-                                spanned,
-                            });
-                            outcome.quality
-                        }
-                        // A required source is missing from S itself — no
-                        // schema to cluster, no reusable components.
-                        None => return (f64::NEG_INFINITY, ComponentEval::infeasible()),
-                    }
+                Some(value) => {
+                    components[i] = value;
+                    value
                 }
+                // The matching binding: run `Match(S)`.
+                None => match_part.insert(self.run_match(subset)?).quality,
             };
             debug_assert!(
                 (0.0..=1.0 + 1e-9).contains(&value),
                 "QEF out of range: {value}"
             );
-            if !matches!(binding, QefBinding::Matching) {
-                components[i] = value;
-            }
             q += w * value;
         }
+        let spans_ok = match_part
+            .as_ref()
+            .is_none_or(|part| self.spans_satisfied(&part.spanned));
         let v = if spans_ok { q } else { f64::NEG_INFINITY };
-        (
+        Some((
             v,
             ComponentEval {
                 match_part,
                 components,
             },
-        )
+        ))
     }
 
     /// The value of a non-matching binding on a selection; `None` for the
@@ -453,7 +485,7 @@ impl MubeObjective {
     /// work. Bound probes never *insert* into the arena: entries must be
     /// complete, bit-identical full evaluations, and a bound path computes
     /// neither `Match(S)` nor non-monotone components.
-    fn binding_caps(&self, decided_in: &Subset, decided_out: &Subset) -> Option<BindingCaps> {
+    fn binding_caps(&self, decided_in: &Subset, decided_out: &Subset) -> Option<Vec<f64>> {
         if self.has_matching && self.pinned.iter().any(|&i| decided_out.contains(i)) {
             return None;
         }
@@ -464,16 +496,11 @@ impl MubeObjective {
         let possible = decided_out.complement();
         let possible_sel =
             SourceSelection::from_words(self.snapshot.universe().len(), possible.words());
-        let cached: Option<Vec<f64>> = self
-            .arena
-            .probe(possible.fingerprint(), &possible, |entry| {
-                (entry.eval.components.len() == self.bindings.len())
-                    .then(|| entry.eval.components.clone())
-            })
-            .flatten();
+        let cached = self.arena.probe(possible.fingerprint(), &possible, |e| {
+            e.eval.components.clone()
+        });
         let leaf = possible == *decided_in;
         let mut caps = vec![0.0; self.bindings.len()];
-        let mut modular: Vec<(usize, Vec<f64>)> = Vec::new();
         for (k, (_, binding)) in self.bindings.iter().enumerate() {
             caps[k] = match binding {
                 QefBinding::Matching => 1.0,
@@ -502,7 +529,6 @@ impl MubeObjective {
                         free_gains.sort_unstable_by(|a, b| b.total_cmp(a));
                         let top: f64 = free_gains.iter().take(budget).sum();
                         cap = cap.min(in_sum + top);
-                        modular.push((k, gains));
                     }
                     cap
                 }
@@ -511,16 +537,7 @@ impl MubeObjective {
                 }
             };
         }
-        Some(BindingCaps { caps, modular })
-    }
-
-    /// Records a cross-iteration reuse (recombined when the entry predates
-    /// the current weights).
-    fn count_survivor(&self, reweighted: bool) {
-        self.reused.fetch_add(1, Ordering::Relaxed);
-        if reweighted {
-            self.recombined.fetch_add(1, Ordering::Relaxed);
-        }
+        Some(caps)
     }
 }
 
@@ -549,7 +566,7 @@ impl SubsetProblem for MubeObjective {
     /// [`BOUND_SLACK`] so float summation order can never let the bound
     /// dip below the true completion optimum.
     fn component_bound(&self, decided_in: &Subset, decided_out: &Subset) -> Option<f64> {
-        let Some(BindingCaps { caps, .. }) = self.binding_caps(decided_in, decided_out) else {
+        let Some(caps) = self.binding_caps(decided_in, decided_out) else {
             // No feasible completion: a required source is decided out, or
             // the decided-in set already violates the cardinality budget.
             return Some(f64::NEG_INFINITY);
@@ -561,101 +578,21 @@ impl SubsetProblem for MubeObjective {
         Some(q + BOUND_SLACK)
     }
 
-    /// Fractional tightening over the modular bindings. Variables are
-    /// `[y_1..y_J, x_1..x_F]`: one `y_j ∈ [0, 1]` per modular QEF (its
-    /// achieved value) and one `x_i ∈ [0, 1]` per free source, with
-    /// `y_j ≤ Σ_{i∈decided_in} g_ji + Σ_free g_ji·x_i` and
-    /// `Σ x_i ≤ m − |decided_in|`. Every integral completion is a feasible
-    /// point, so `constant + optimum` is admissible; the constant carries
-    /// the non-modular bindings' component caps (and the slack). Returns
-    /// `None` when no binding is modular or no free choice remains — the
-    /// component bound is already as tight as this LP would be.
-    fn lp_relaxation(&self, decided_in: &Subset, decided_out: &Subset) -> Option<(LpProblem, f64)> {
-        let BindingCaps { caps, modular } = self.binding_caps(decided_in, decided_out)?;
-        if modular.is_empty() {
-            return None;
-        }
-        let budget = self.max_sources.saturating_sub(decided_in.len());
-        let free: Vec<usize> = (0..self.snapshot.universe().len())
-            .filter(|&i| !decided_in.contains(i) && !decided_out.contains(i))
-            .collect();
-        if free.is_empty() || budget == 0 {
-            return None;
-        }
-        let nm = modular.len();
-        let nvars = nm + free.len();
-        let mut objective = vec![0.0; nvars];
-        let mut is_modular = vec![false; self.bindings.len()];
-        for (j, (k, _)) in modular.iter().enumerate() {
-            is_modular[*k] = true;
-            objective[j] = self.bindings[*k].0;
-        }
-        let mut constant = BOUND_SLACK;
-        for (k, (w, _)) in self.bindings.iter().enumerate() {
-            if !is_modular[k] {
-                constant += w * caps[k];
-            }
-        }
-        let mut constraints = Vec::with_capacity(2 * nm + free.len() + 1);
-        for (j, (_, gains)) in modular.iter().enumerate() {
-            let mut coeffs = vec![0.0; nvars];
-            coeffs[j] = 1.0;
-            for (fi, &i) in free.iter().enumerate() {
-                coeffs[nm + fi] = -gains[i];
-            }
-            let in_sum: f64 = decided_in.iter().map(|i| gains[i]).sum();
-            constraints.push(LpConstraint {
-                coeffs,
-                rel: Relation::Le,
-                rhs: in_sum,
-            });
-            let mut unit = vec![0.0; nvars];
-            unit[j] = 1.0;
-            constraints.push(LpConstraint {
-                coeffs: unit,
-                rel: Relation::Le,
-                rhs: 1.0,
-            });
-        }
-        for fi in 0..free.len() {
-            let mut unit = vec![0.0; nvars];
-            unit[nm + fi] = 1.0;
-            constraints.push(LpConstraint {
-                coeffs: unit,
-                rel: Relation::Le,
-                rhs: 1.0,
-            });
-        }
-        let mut all = vec![0.0; nvars];
-        for slot in all.iter_mut().take(nvars).skip(nm) {
-            *slot = 1.0;
-        }
-        constraints.push(LpConstraint {
-            coeffs: all,
-            rel: Relation::Le,
-            rhs: budget as f64,
-        });
-        Some((
-            LpProblem {
-                objective,
-                constraints,
-            },
-            constant,
-        ))
-    }
-
     fn evaluate(&self, subset: &Subset) -> f64 {
         if !self.caching.load(Ordering::Relaxed) {
-            return self.compute_eval(subset).0;
+            return self
+                .compute_eval(subset)
+                .map_or(f64::NEG_INFINITY, |(v, _)| v);
         }
         // Required-source pre-check *before* any arena traffic: a subset
         // missing a currently pinned source is infeasible under the current
         // spec, but that is a property of the spec, not of the subset — it
         // must neither consult nor pollute the (constraint-independent)
         // arena. This is what keeps cached entries valid across
-        // `FeasibilityOnly` edits. The solvers structurally pin required
-        // sources, so this path fires only on warm-start repairs and
-        // hand-fed subsets.
+        // `FeasibilityOnly` edits, and why `Match(S)` below always finds
+        // every required source in `S`. The solvers structurally pin
+        // required sources, so this path fires only on warm-start repairs
+        // and hand-fed subsets.
         if self.has_matching && !self.pins_satisfied(subset) {
             return f64::NEG_INFINITY;
         }
@@ -663,88 +600,56 @@ impl SubsetProblem for MubeObjective {
         // already-computed u64 key, and the subset is cloned only when
         // actually inserted.
         let key = subset.fingerprint();
-        let epoch = self.arena.epoch();
-        let weights_version = self.arena.weights_version();
         let probed = self.arena.probe(key, subset, |entry| {
-            let survivor = entry.epoch < epoch;
-            let reweighted = entry.weights_version < weights_version;
-            let probe = if !self.has_matching {
-                Probe::Full(self.combine(0.0, &entry.eval.components))
-            } else {
-                match &entry.eval.match_part {
-                    Some(MatchPart::Feasible { quality, spanned }) => {
-                        if self.spans_satisfied(spanned) {
-                            Probe::Full(self.combine(*quality, &entry.eval.components))
-                        } else {
-                            // The memoized schema does not span a currently
-                            // constrained source — the verdict a cold
-                            // `Match(S)` would reach under this spec.
-                            Probe::Full(f64::NEG_INFINITY)
-                        }
-                    }
-                    Some(MatchPart::Infeasible) => Probe::Full(f64::NEG_INFINITY),
-                    // Stripped by a MatchInvalidating edit: clone the
-                    // components out so Match(S) can rerun lock-free.
-                    None => Probe::Stale(entry.eval.components.clone()),
+            let survivor = entry.epoch < self.prepared.epoch;
+            let reweighted = entry.weights_version < self.prepared.weights_version;
+            let probe = match &entry.eval.match_part {
+                Some(part) if self.has_matching => {
+                    Probe::Full(self.value_with(part, &entry.eval.components))
                 }
+                // Stripped by a MatchInvalidating edit: clone the
+                // components out so Match(S) can rerun outside the lock.
+                None if self.has_matching => Probe::Stale(entry.eval.components.clone()),
+                _ => Probe::Full(self.combine(0.0, &entry.eval.components)),
             };
             (probe, survivor, reweighted)
         });
-        match probed {
-            Some((Probe::Full(v), survivor, reweighted)) => {
+        let Some((probe, survivor, reweighted)) = probed else {
+            // Compute outside the lock: `Match(S)` is the expensive part
+            // and other threads must keep hitting the arena meanwhile.
+            // Concurrent first evaluations of the *same* subset may each
+            // compute it (both get the same vector — evaluation is pure);
+            // the arena's insert re-probes so it still stores it once.
+            let Some((v, eval)) = self.compute_eval(subset) else {
+                return f64::NEG_INFINITY;
+            };
+            let dropped = self.arena.insert(key, subset, eval);
+            if dropped > 0 {
+                self.evictions.fetch_add(dropped, Ordering::Relaxed);
+            }
+            return v;
+        };
+        let v = match probe {
+            Probe::Full(v) => {
                 self.cache_hits.fetch_add(1, Ordering::Relaxed);
-                if survivor {
-                    self.count_survivor(reweighted);
-                }
-                return v;
+                v
             }
-            Some((Probe::Stale(components), survivor, reweighted)) => {
-                // Partial reuse: every non-matching component survives the
-                // match-invalidating edit; only Match(S) reruns.
-                let ids: Vec<SourceId> = subset.iter().map(|i| SourceId(i as u32)).collect();
-                self.match_calls.fetch_add(1, Ordering::Relaxed);
-                let v = match self.match_schema_deferred(&ids) {
-                    Some(outcome) => {
-                        unpoison(self.match_stats.lock()).absorb(&outcome.stats);
-                        let spanned = spanned_of(&outcome.schema);
-                        let quality = outcome.quality;
-                        let feasible = self.spans_satisfied(&spanned);
-                        self.arena.restore_match_part(
-                            key,
-                            subset,
-                            MatchPart::Feasible { quality, spanned },
-                        );
-                        if feasible {
-                            self.combine(quality, &components)
-                        } else {
-                            f64::NEG_INFINITY
-                        }
-                    }
-                    None => {
-                        // Unreachable while memoizing (the pins pre-check
-                        // guarantees membership), but kept total: record
-                        // the null schema rather than panic.
-                        self.arena
-                            .restore_match_part(key, subset, MatchPart::Infeasible);
-                        f64::NEG_INFINITY
-                    }
-                };
-                if survivor {
-                    self.count_survivor(reweighted);
+            // Partial reuse: every non-matching component survives the
+            // match-invalidating edit; only Match(S) reruns.
+            Probe::Stale(components) => match self.run_match(subset) {
+                Some(part) => {
+                    let v = self.value_with(&part, &components);
+                    self.arena.restore_match_part(key, subset, part);
+                    v
                 }
-                return v;
+                None => f64::NEG_INFINITY,
+            },
+        };
+        if survivor {
+            self.reused.fetch_add(1, Ordering::Relaxed);
+            if reweighted {
+                self.recombined.fetch_add(1, Ordering::Relaxed);
             }
-            None => {}
-        }
-        // Compute outside any lock: `Match(S)` is the expensive part and
-        // other threads must keep hitting the shard meanwhile. Concurrent
-        // first evaluations of the *same* subset may each compute it (both
-        // get the same vector — evaluation is pure); the arena's insert
-        // re-probes so the bucket still stores it once.
-        let (v, eval) = self.compute_eval(subset);
-        let dropped = self.arena.insert(key, subset, eval);
-        if dropped > 0 {
-            self.evictions.fetch_add(dropped, Ordering::Relaxed);
         }
         v
     }

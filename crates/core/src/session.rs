@@ -49,9 +49,7 @@ pub struct Session {
     solver: Box<dyn Solver>,
     seed: u64,
     history: Vec<Solution>,
-    warm_restart: bool,
     arena: Arc<EvalArena>,
-    arena_enabled: bool,
     cancel: CancelToken,
     last_cancelled: Option<Solution>,
 }
@@ -66,9 +64,7 @@ impl Session {
             solver: Box::new(TabuSearch::default()),
             seed: 0,
             history: Vec::new(),
-            warm_restart: true,
             arena: Arc::new(EvalArena::new()),
-            arena_enabled: true,
             cancel: CancelToken::new(),
             last_cancelled: None,
         }
@@ -77,31 +73,6 @@ impl Session {
     /// Replaces the solver.
     pub fn with_solver(mut self, solver: Box<dyn Solver>) -> Self {
         self.solver = solver;
-        self
-    }
-
-    /// Controls warm restarts (default on): when enabled and the solver
-    /// supports it, each iteration after the first starts its search from
-    /// the previous solution, so small feedback changes *refine* the
-    /// current system instead of re-searching from scratch. This is the
-    /// behaviour behind the paper's Section 7.4 stability observation.
-    ///
-    /// Solvers that do not implement [`Solver::with_warm_start`] silently
-    /// fall back to a cold start; [`SolveStats::warm_start`] on each
-    /// recorded solution says which actually happened.
-    ///
-    /// [`SolveStats::warm_start`]: crate::SolveStats::warm_start
-    pub fn with_warm_restart(mut self, enabled: bool) -> Self {
-        self.warm_restart = enabled;
-        self
-    }
-
-    /// Controls the persistent evaluation arena (default on). Disabling it
-    /// makes every iteration evaluate cold into a private, discarded
-    /// arena — same solutions bit-for-bit, none of the cross-iteration
-    /// reuse. Exists for ablation and as a memory escape hatch.
-    pub fn with_arena(mut self, enabled: bool) -> Self {
-        self.arena_enabled = enabled;
         self
     }
 
@@ -190,6 +161,15 @@ impl Session {
 
     /// Runs one iteration and records the solution.
     ///
+    /// Every iteration after the first warm-starts the solver from the
+    /// previous solution when the solver supports it, so small feedback
+    /// changes *refine* the current system instead of re-searching from
+    /// scratch — the behaviour behind the paper's Section 7.4 stability
+    /// observation. Solvers that do not implement
+    /// [`Solver::with_warm_start`] start cold; [`SolveStats::warm_start`]
+    /// on each recorded solution says which happened. Iteration `k` (from
+    /// 0) solves with seed `seed + k`.
+    ///
     /// The solve runs with the session's [`CancelToken`] armed. If it is
     /// cancelled mid-solve, the best incumbent found so far is returned
     /// (audited like any completed solution, `stats.cancelled == true`)
@@ -199,30 +179,21 @@ impl Session {
     /// cancelled attempts happened in between. A solve cancelled before
     /// any feasible candidate was seen returns [`MubeError::Cancelled`];
     /// the session stays fully usable either way.
+    ///
+    /// [`SolveStats::warm_start`]: crate::SolveStats::warm_start
     pub fn iterate(&mut self) -> Result<&Solution, MubeError> {
         let iteration_seed = self.seed.wrapping_add(self.history.len() as u64);
-        let warm_solver = if self.warm_restart {
-            self.latest().and_then(|last| {
-                let items: Vec<usize> = last.selected.iter().map(|s| s.index()).collect();
-                self.solver.with_warm_start(&items)
-            })
-        } else {
-            None
-        };
+        let warm_solver = self.latest().and_then(|last| {
+            let items: Vec<usize> = last.selected.iter().map(|s| s.index()).collect();
+            self.solver.with_warm_start(&items)
+        });
         let warm_used = warm_solver.is_some();
         let solver: &dyn Solver = warm_solver.as_deref().unwrap_or(self.solver.as_ref());
-        let cold;
-        let arena = if self.arena_enabled {
-            &self.arena
-        } else {
-            cold = Arc::new(EvalArena::new());
-            &cold
-        };
         let mut solution = self.mube.solve_with(
             &self.spec,
             solver,
             iteration_seed,
-            arena,
+            &self.arena,
             Some(&self.cancel),
         )?;
         solution.stats.warm_start = warm_used;
@@ -415,18 +386,6 @@ mod tests {
     }
 
     #[test]
-    fn cold_restart_opt_out() {
-        let u = universe();
-        let mube = MubeBuilder::new(&u).build();
-        let mut session =
-            Session::new(&mube, ProblemSpec::new(3).with_theta(0.5)).with_warm_restart(false);
-        session.iterate().unwrap();
-        session.iterate().unwrap();
-        assert_eq!(session.history().len(), 2);
-        assert!(!session.history()[1].stats.warm_start);
-    }
-
-    #[test]
     fn diff_latest_requires_two_iterations() {
         let u = universe();
         let mube = MubeBuilder::new(&u).build();
@@ -517,33 +476,48 @@ mod tests {
     #[test]
     fn arena_on_and_off_histories_are_bit_identical() {
         // The arena must never change what a session computes — only how
-        // much of it is recomputed. Same seed + same feedback script, with
-        // and without the arena, must produce bit-identical histories.
+        // much of it is recomputed. Each iteration of a feedback script
+        // must bit-equal a cold `Mube::solve` of the same spec with the
+        // session's seed and warm start (one delta class per step).
         let u = universe();
         let mube = MubeBuilder::new(&u).build();
-        let run = |arena: bool| {
-            let mut s = Session::new(&mube, ProblemSpec::new(3).with_theta(0.5))
-                .with_seed(11)
-                .with_arena(arena);
-            s.iterate().unwrap();
-            s.set_weights(Weights::new([("matching", 0.5), ("cardinality", 0.5)]).unwrap());
-            s.iterate().unwrap();
-            s.require_source(SourceId(1));
-            s.iterate().unwrap();
-            s.set_theta(0.45).unwrap();
-            s.iterate().unwrap();
-            s.history()
-                .iter()
-                .map(|sol| {
-                    (
-                        sol.selected.clone(),
-                        sol.schema.clone(),
-                        sol.overall_quality.to_bits(),
-                    )
-                })
-                .collect::<Vec<_>>()
-        };
-        assert_eq!(run(true), run(false));
+        let mut session = Session::new(&mube, ProblemSpec::new(3).with_theta(0.5)).with_seed(11);
+        let mut warm: Option<Vec<usize>> = None;
+        for step in 0..4u64 {
+            match step {
+                1 => {
+                    session.set_weights(
+                        Weights::new([("matching", 0.5), ("cardinality", 0.5)]).unwrap(),
+                    );
+                }
+                2 => {
+                    session.require_source(SourceId(1));
+                }
+                // Far enough from 0.5 that a match part cached under the
+                // old θ would change the answer if it were not stripped.
+                3 => {
+                    session.set_theta(0.3).unwrap();
+                }
+                _ => {}
+            }
+            let base = TabuSearch::default();
+            let warm_solver = warm
+                .as_deref()
+                .and_then(|items| base.with_warm_start(items));
+            let solver: &dyn Solver = warm_solver.as_deref().unwrap_or(&base);
+            let cold = mube.solve(session.spec(), solver, 11 + step).unwrap();
+            let kept = session.iterate().unwrap();
+            assert_eq!(kept.selected, cold.selected, "step {step}");
+            assert_eq!(kept.schema, cold.schema, "step {step}");
+            assert_eq!(
+                kept.overall_quality.to_bits(),
+                cold.overall_quality.to_bits(),
+                "step {step}"
+            );
+            warm = Some(cold.selected.iter().map(|s| s.index()).collect());
+        }
+        assert_eq!(session.history().len(), 4);
+        assert!(session.history()[1..].iter().all(|s| s.stats.warm_start));
     }
 
     #[test]

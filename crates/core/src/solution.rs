@@ -36,7 +36,7 @@ pub struct SolveStats {
     /// work; see `MatchStats` in `mube-cluster`).
     pub linkage_evals: u64,
     /// Incremental-kernel Lance–Williams row derivations inside `Match(S)`
-    /// calls (zero when the brute-force kernel is selected).
+    /// calls.
     pub lw_updates: u64,
     /// Memoized `Q(S)` entries dropped by capacity eviction: zero unless
     /// the arena reached its fixed budget of roughly a million entries.

@@ -49,46 +49,6 @@ impl SolveResult {
     pub fn is_feasible(&self) -> bool {
         self.objective.is_finite()
     }
-
-    /// First iteration (0-based) at which the best-so-far climbed
-    /// `fraction` of the way from the trajectory's (finite) minimum to the
-    /// final objective — a convergence-speed measure for the optimizer
-    /// comparison. Anchoring at the trajectory minimum rather than at zero
-    /// keeps the measure meaningful for negative objectives (where a naive
-    /// `objective * fraction` raises the target *above* the final value and
-    /// never triggers) and for trajectories that start high. `None` only
-    /// for empty/all-infeasible trajectories or non-finite objectives.
-    pub fn iterations_to_reach(&self, fraction: f64) -> Option<u64> {
-        if !self.objective.is_finite() {
-            return None;
-        }
-        let lo = self
-            .trajectory
-            .iter()
-            .copied()
-            .filter(|q| q.is_finite())
-            .fold(f64::INFINITY, f64::min);
-        if !lo.is_finite() {
-            return None;
-        }
-        let target = lo + (self.objective - lo) * fraction.clamp(0.0, 1.0);
-        self.trajectory
-            .iter()
-            .position(|&q| q >= target)
-            .map(|i| i as u64)
-    }
-
-    /// Mean of the best-so-far trajectory normalized by the final
-    /// objective, in `[0, 1]`: 1.0 means the final quality was found
-    /// immediately; lower values mean slower convergence. `None` for empty
-    /// trajectories or non-positive objectives.
-    pub fn convergence_auc(&self) -> Option<f64> {
-        if self.trajectory.is_empty() || !self.objective.is_finite() || self.objective <= 0.0 {
-            return None;
-        }
-        let mean: f64 = self.trajectory.iter().sum::<f64>() / self.trajectory.len() as f64;
-        Some((mean / self.objective).clamp(0.0, 1.0))
-    }
 }
 
 /// A subset-selection solver. All solvers are deterministic given `seed`.
@@ -277,43 +237,6 @@ mod tests {
     fn infeasible_result_detected() {
         let r = result_with(f64::NEG_INFINITY, vec![]);
         assert!(!r.is_feasible());
-    }
-
-    #[test]
-    fn convergence_helpers() {
-        let r = result_with(10.0, vec![2.0, 5.0, 10.0, 10.0]);
-        // Targets interpolate min→final: 0.5 → 6.0, 1.0 → 10.0, 0.1 → 2.8.
-        assert_eq!(r.iterations_to_reach(0.5), Some(2));
-        assert_eq!(r.iterations_to_reach(1.0), Some(2));
-        assert_eq!(r.iterations_to_reach(0.1), Some(1));
-        assert_eq!(r.iterations_to_reach(0.0), Some(0));
-        let auc = r.convergence_auc().unwrap();
-        assert!((auc - 0.675).abs() < 1e-12, "got {auc}");
-        let empty = result_with(f64::NEG_INFINITY, vec![]);
-        assert_eq!(empty.iterations_to_reach(0.5), None);
-        assert_eq!(empty.convergence_auc(), None);
-    }
-
-    #[test]
-    fn iterations_to_reach_handles_negative_objectives() {
-        // Regression: the old `objective * fraction` target sat *above* a
-        // negative final objective, so converging trajectories reported
-        // `None`. Min-anchored interpolation: target = -8 + 0.9·6 = -2.6.
-        let r = result_with(-2.0, vec![-8.0, -5.0, -2.0]);
-        assert_eq!(r.iterations_to_reach(0.9), Some(2));
-        assert_eq!(r.iterations_to_reach(0.5), Some(1));
-        assert_eq!(r.iterations_to_reach(1.0), Some(2));
-        // Infeasible prefixes are ignored when anchoring.
-        let r = result_with(3.0, vec![f64::NEG_INFINITY, 1.0, 3.0]);
-        assert_eq!(r.iterations_to_reach(1.0), Some(2));
-        assert_eq!(r.iterations_to_reach(0.0), Some(1));
-        // Flat trajectory: the final value is reached immediately.
-        let r = result_with(4.0, vec![4.0, 4.0]);
-        assert_eq!(r.iterations_to_reach(0.7), Some(0));
-        // All-infeasible trajectory with a finite final objective cannot
-        // anchor — explicitly `None`, not a panic.
-        let r = result_with(1.0, vec![f64::NEG_INFINITY]);
-        assert_eq!(r.iterations_to_reach(0.5), None);
     }
 
     #[test]

@@ -57,38 +57,26 @@ fn unpoison<G>(r: Result<G, PoisonError<G>>) -> G {
 /// carries the request id it answers and the reply sender its response
 /// line goes to, so responses from concurrent sessions interleave freely
 /// on the transport without ever mixing up correlation ids.
-pub enum Job {
-    /// Apply user-feedback edits to the session's spec.
-    Edit {
-        /// Request id to echo.
-        id: u64,
-        /// Edits in application order.
-        edits: Vec<Edit>,
-        /// Where the response line goes.
-        reply: Sender<String>,
-    },
+pub struct Job {
+    /// Request id to echo.
+    pub id: u64,
+    /// Where the response line goes.
+    pub reply: Sender<String>,
+    /// What the worker does.
+    pub work: Work,
+}
+
+/// The session commands a worker runs, in queue order.
+pub enum Work {
+    /// Apply user-feedback edits, in application order, to the spec.
+    Edit(Vec<Edit>),
     /// Run one iteration (replies when the solve finishes or is
     /// cancelled).
-    Solve {
-        /// Request id to echo.
-        id: u64,
-        /// Where the response line goes.
-        reply: Sender<String>,
-    },
+    Solve,
     /// Report spec, history, and latest solution.
-    Inspect {
-        /// Request id to echo.
-        id: u64,
-        /// Where the response line goes.
-        reply: Sender<String>,
-    },
+    Inspect,
     /// Diff the two most recent solutions.
-    Diff {
-        /// Request id to echo.
-        id: u64,
-        /// Where the response line goes.
-        reply: Sender<String>,
-    },
+    Diff,
 }
 
 struct SessionHandle {
@@ -200,65 +188,39 @@ impl SessionHost {
     /// whenever the worker finishes.
     pub fn handle_request(&self, request: Request, out: &Sender<String>) {
         let id = request.id;
-        let sent = match request.command {
-            Command::CreateSession(spec) => match self.create_session(&spec) {
-                Ok(session) => out.send(ok_response(
-                    id,
-                    vec![("session", Json::Num(session as f64))],
-                )),
-                Err(e) => out.send(error_response(id, &e)),
-            },
-            Command::EditConstraints { session, edits } => {
-                let job = Job::Edit {
-                    id,
-                    edits,
-                    reply: out.clone(),
+        let (session, work) = match request.command {
+            Command::CreateSession(spec) => {
+                let line = match self.create_session(&spec) {
+                    Ok(session) => ok_response(id, vec![("session", Json::Num(session as f64))]),
+                    Err(e) => error_response(id, &e),
                 };
-                match self.submit(session, job) {
-                    Ok(()) => Ok(()),
-                    Err(e) => out.send(error_response(id, &e)),
-                }
+                // A dead transport just means nobody is listening any more.
+                let _ = out.send(line);
+                return;
             }
-            Command::Solve { session } => {
-                let job = Job::Solve {
-                    id,
-                    reply: out.clone(),
+            Command::Cancel { session } => {
+                let line = match self.cancel(session) {
+                    Ok(()) => {
+                        ok_response(id, vec![("cancelled_session", Json::Num(session as f64))])
+                    }
+                    Err(e) => error_response(id, &e),
                 };
-                match self.submit(session, job) {
-                    Ok(()) => Ok(()),
-                    Err(e) => out.send(error_response(id, &e)),
-                }
+                let _ = out.send(line);
+                return;
             }
-            Command::Cancel { session } => match self.cancel(session) {
-                Ok(()) => out.send(ok_response(
-                    id,
-                    vec![("cancelled_session", Json::Num(session as f64))],
-                )),
-                Err(e) => out.send(error_response(id, &e)),
-            },
-            Command::Inspect { session } => {
-                let job = Job::Inspect {
-                    id,
-                    reply: out.clone(),
-                };
-                match self.submit(session, job) {
-                    Ok(()) => Ok(()),
-                    Err(e) => out.send(error_response(id, &e)),
-                }
-            }
-            Command::Diff { session } => {
-                let job = Job::Diff {
-                    id,
-                    reply: out.clone(),
-                };
-                match self.submit(session, job) {
-                    Ok(()) => Ok(()),
-                    Err(e) => out.send(error_response(id, &e)),
-                }
-            }
+            Command::EditConstraints { session, edits } => (session, Work::Edit(edits)),
+            Command::Solve { session } => (session, Work::Solve),
+            Command::Inspect { session } => (session, Work::Inspect),
+            Command::Diff { session } => (session, Work::Diff),
         };
-        // A dead transport just means nobody is listening any more.
-        let _ = sent;
+        let job = Job {
+            id,
+            reply: out.clone(),
+            work,
+        };
+        if let Err(e) = self.submit(session, job) {
+            let _ = out.send(error_response(id, &e));
+        }
     }
 
     /// Stops every worker and waits for them to finish their queued jobs.
@@ -328,48 +290,36 @@ pub fn default_weights(universe: &Universe) -> Weights {
 /// The per-session worker: owns the [`Session`], drains its queue in
 /// order, exits when the host drops the sender.
 fn worker_loop(mube: Mube, mut session: Session, jobs: Receiver<Job>) {
-    while let Ok(job) = jobs.recv() {
-        match job {
-            Job::Edit { id, edits, reply } => {
-                let line = match apply_edits(&mube, &mut session, &edits) {
-                    Ok(applied) => ok_response(id, vec![("applied", Json::Num(applied as f64))]),
-                    Err(e) => error_response(id, &e),
-                };
-                let _ = reply.send(line);
-            }
-            Job::Solve { id, reply } => {
-                let line = match session.iterate() {
-                    Ok(solution) => {
-                        let rendered = render_solution(mube.universe(), solution);
-                        ok_response(
-                            id,
-                            vec![
-                                ("iteration", Json::Num(session.history().len() as f64)),
-                                ("solution", rendered),
-                            ],
-                        )
-                    }
-                    Err(MubeError::Cancelled) => error_response(
+    while let Ok(Job { id, reply, work }) = jobs.recv() {
+        let line = match work {
+            Work::Edit(edits) => match apply_edits(&mube, &mut session, &edits) {
+                Ok(applied) => ok_response(id, vec![("applied", Json::Num(applied as f64))]),
+                Err(e) => error_response(id, &e),
+            },
+            Work::Solve => match session.iterate() {
+                Ok(solution) => {
+                    let rendered = render_solution(mube.universe(), solution);
+                    ok_response(
                         id,
-                        "solve cancelled before any feasible incumbent was found",
-                    ),
-                    Err(e) => error_response(id, &e.to_string()),
-                };
-                let _ = reply.send(line);
-            }
-            Job::Inspect { id, reply } => {
-                let _ = reply.send(inspect_response(id, &mube, &session));
-            }
-            Job::Diff { id, reply } => {
-                let line = match session.diff_latest() {
-                    Some(diff) => {
-                        ok_response(id, vec![("diff", render_diff(mube.universe(), &diff))])
-                    }
-                    None => error_response(id, "diff needs at least two completed iterations"),
-                };
-                let _ = reply.send(line);
-            }
-        }
+                        vec![
+                            ("iteration", Json::Num(session.history().len() as f64)),
+                            ("solution", rendered),
+                        ],
+                    )
+                }
+                Err(MubeError::Cancelled) => error_response(
+                    id,
+                    "solve cancelled before any feasible incumbent was found",
+                ),
+                Err(e) => error_response(id, &e.to_string()),
+            },
+            Work::Inspect => inspect_response(id, &mube, &session),
+            Work::Diff => match session.diff_latest() {
+                Some(diff) => ok_response(id, vec![("diff", render_diff(mube.universe(), &diff))]),
+                None => error_response(id, "diff needs at least two completed iterations"),
+            },
+        };
+        let _ = reply.send(line);
     }
 }
 

@@ -33,7 +33,7 @@ pub mod json;
 pub mod proto;
 
 pub use host::{
-    default_weights, serve_connection, solver_by_name, source_by_name, Job, SessionHost,
+    default_weights, serve_connection, solver_by_name, source_by_name, Job, SessionHost, Work,
 };
 pub use json::{Json, JsonError};
 pub use proto::{parse_request, Command, Edit, Request, SessionSpec};

@@ -22,7 +22,7 @@
 //!   determinism);
 //! * `float-ord` — bans `.partial_cmp(` and bare `f64` ordering keys
 //!   (total order via `f64::total_cmp`);
-//! * `lock-discipline` — bans locks outside the registered shard stores,
+//! * `lock-discipline` — bans locks outside the registered lock-owning modules,
 //!   nested acquisitions, and guards crossing closure boundaries.
 //!
 //! Justified residual sites live in the exact-count allowlist

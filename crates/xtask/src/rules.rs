@@ -17,7 +17,7 @@
 //!   (`BinaryHeap`/`BTreeMap`/`BTreeSet`); `f64::total_cmp` is the
 //!   workspace-wide total order;
 //! * `lock-discipline` — `Mutex`/`RwLock` outside the registered
-//!   shard-store modules, a second lock acquisition while a guard is
+//!   lock-owning modules, a second lock acquisition while a guard is
 //!   held, and a lock guard referenced inside a closure body.
 //!
 //! All rules run on the test-stripped token stream, so `#[cfg(test)]`
@@ -69,13 +69,11 @@ const DETERMINISM_SCOPE: &[&str] = &[
 /// measurement harness and this lint tool itself.
 const ENTROPY_EXEMPT: &[&str] = &["crates/bench/", "crates/xtask/"];
 
-/// The only modules allowed to own `Mutex`/`RwLock` state. Everything else
-/// must go through these shard stores, so the lock graph stays reviewable.
-pub const LOCK_REGISTRY: &[&str] = &[
-    "crates/core/src/arena.rs",
-    "crates/core/src/objective.rs",
-    "crates/serve/src/host.rs",
-];
+/// The only modules allowed to own `Mutex`/`RwLock` state: the evaluation
+/// arena's one store lock and the session host's registry. Everything else
+/// counts with atomics or goes through these, so the lock graph stays
+/// reviewable.
+pub const LOCK_REGISTRY: &[&str] = &["crates/core/src/arena.rs", "crates/serve/src/host.rs"];
 
 /// Methods whose call on a hash collection exposes nondeterministic
 /// iteration order.
@@ -312,7 +310,7 @@ fn generic_key_has_f64(toks: &[Token], i: usize, first_param_only: bool) -> bool
     false
 }
 
-/// Lock discipline for the sharded stores. Outside [`LOCK_REGISTRY`],
+/// Lock discipline for the registered stores. Outside [`LOCK_REGISTRY`],
 /// any `Mutex`/`RwLock` mention is a violation (new lock state belongs in
 /// a registered store). Inside, a linear scan tracks `let`-bound guards
 /// (`.lock()` / `.read()` / `.write()` / `lock_unpoisoned(…)`) by brace

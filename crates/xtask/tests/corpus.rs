@@ -209,7 +209,7 @@ const LOCK_REGISTRY_BAD: &str = include_str!("fixtures/lock_registry_bad.rs");
 const LOCK_DOUBLE_BAD: &str = include_str!("fixtures/lock_double_bad.rs");
 const LOCK_GOOD: &str = include_str!("fixtures/lock_good.rs");
 
-/// A registered shard-store module (see `mube_xtask::LOCK_REGISTRY`).
+/// A registered lock-owning module (see `mube_xtask::LOCK_REGISTRY`).
 const REGISTERED: &str = "crates/core/src/arena.rs";
 
 #[test]
