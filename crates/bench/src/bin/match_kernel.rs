@@ -20,7 +20,8 @@ use std::collections::BTreeSet;
 
 use mube_bench::{best_of, engine, paper_spec, timed, timed_solve, universe, Run, Scale};
 use mube_cluster::{
-    match_sources, match_sources_brute_force, AttrSimilarity, MatchConfig, MatchOutcome,
+    cluster_similarity, match_sources, match_sources_brute_force, AttrSimilarity, MatchConfig,
+    MatchOutcome,
 };
 use mube_core::Mube;
 use mube_opt::TabuSearch;
@@ -96,10 +97,7 @@ fn pre_pr_match(
         let mut heap: Vec<(f64, usize, usize)> = Vec::new();
         for (pos, &i) in alive.iter().enumerate() {
             for &j in &alive[pos + 1..] {
-                let s =
-                    config
-                        .linkage
-                        .cluster_similarity(&clusters[i].attrs, &clusters[j].attrs, sim);
+                let s = cluster_similarity(&clusters[i].attrs, &clusters[j].attrs, sim);
                 linkage_evals += 1;
                 if s >= config.theta {
                     heap.push((s, i, j));

@@ -15,9 +15,10 @@
 //!   engine, and a threshold-tier engine with τ = θ (exact here because
 //!   Match runs single linkage with no GA constraints; DESIGN.md §14).
 //!   A full run also asserts that the lossless sparse solve takes at most
-//!   1.2x the dense one at every identity size — the median over the
-//!   alternating dense/sparse solve pairs of each pair's time ratio — and
-//!   stamps `"meets_thresholds": true` into the JSON.
+//!   1.2x the dense one at every identity size — the median over five
+//!   dense/sparse pairs of each pair's time ratio, where each side of a
+//!   pair is the best of five back-to-back solves and the engine that goes
+//!   first alternates — and stamps `"meets_thresholds": true` into the JSON.
 //! * **scale** — a universe size where the dense triangle does *not* fit
 //!   the memory budget: [`SimilarityMatrix::try_compute`] must refuse
 //!   before allocating (`"dense_refused": true`), and the sparse backend —
@@ -70,26 +71,30 @@ fn class_representatives(universe: &Universe, sim: &dyn AttrSimilarity) -> Vec<A
     seen.into_iter().flatten().collect()
 }
 
-/// One engine pair's greedy solves, `reps` alternating pairs of them.
+/// One engine pair's greedy solves: `reps` pairs of sides, each side the
+/// best of `reps` back-to-back solves of one engine.
 struct SolvePair {
-    /// Best-of-`reps` wall time of the reference engine's solve.
+    /// Fastest reference-engine solve over all pairs.
     reference_millis: f64,
-    /// Best-of-`reps` wall time of the candidate engine's solve.
+    /// Fastest candidate-engine solve over all pairs.
     candidate_millis: f64,
-    /// The median over the pairs of candidate / reference time: the two
-    /// solves of a pair run back to back, so a shift in host speed reaches
-    /// both sides of the ratio.
+    /// The median over the pairs of candidate / reference side time. The
+    /// two sides of a pair run back to back, so a shift in host speed
+    /// reaches both, and a side's best-of-`reps` drops the single solves
+    /// that a host hiccup slowed.
     median_ratio: f64,
     quality: f64,
 }
 
 /// Asserts two engines produce the identical greedy solution in each of
-/// `reps` pairs of solves, reference first, and times them. Every
-/// `Mube::solve` starts on a fresh arena, so each is a cold solve.
+/// `reps` pairs of sides, and times them. Which engine goes first
+/// alternates from pair to pair, so neither side always inherits the
+/// other's cache and frequency state. Every `Mube::solve` starts on a
+/// fresh arena, so each is a cold solve.
 fn solve_pair(reference: &Mube, candidate: &Mube, label: &str, reps: u32) -> SolvePair {
     let spec = scale_spec();
-    let solve = |engine: &Mube| {
-        timed(|| {
+    let side = |engine: &Mube| {
+        best_of(reps, || {
             engine
                 .solve(&spec, &Greedy, 0)
                 .expect("bench problems are feasible")
@@ -98,9 +103,14 @@ fn solve_pair(reference: &Mube, candidate: &Mube, label: &str, reps: u32) -> Sol
     let mut ratios = Vec::new();
     let (mut reference_millis, mut candidate_millis) = (f64::INFINITY, f64::INFINITY);
     let mut quality = 0.0;
-    for _ in 0..reps.max(1) {
-        let (ref_millis, ref_solution) = solve(reference);
-        let (cand_millis, cand_solution) = solve(candidate);
+    for pair in 0..reps.max(1) {
+        let ((ref_millis, ref_solution), (cand_millis, cand_solution)) = if pair % 2 == 0 {
+            let reference_side = side(reference);
+            (reference_side, side(candidate))
+        } else {
+            let candidate_side = side(candidate);
+            (side(reference), candidate_side)
+        };
         assert_eq!(
             ref_solution.selected, cand_solution.selected,
             "{label}: backends selected different sources"
@@ -384,8 +394,12 @@ fn main() {
                 "units",
                 obj([(
                     "millis",
-                    format!("best-of-{reps} wall clock (identity tier); single scale-tier runs")
-                        .into(),
+                    format!(
+                        "best-of-{reps} wall clock (identity-tier fills), fastest of \
+                         {reps} pairs of best-of-{reps} sides (identity-tier solves); \
+                         single scale-tier runs"
+                    )
+                    .into(),
                 )]),
             ),
             ("identity", identity.into()),

@@ -10,7 +10,7 @@ use std::collections::BTreeSet;
 
 use mube_schema::{AttrId, Constraints, GlobalAttribute, MediatedSchema, SourceId, Universe};
 
-use crate::linkage::Linkage;
+use crate::linkage::cluster_similarity;
 use crate::quality::schema_quality;
 use crate::similarity::AttrSimilarity;
 use crate::source_mask::SourceMask;
@@ -29,23 +29,20 @@ pub struct MatchConfig {
     /// from a user constraint. GAs below the floor are dropped after
     /// clustering (`∀g ∈ (M − G): |g| ≥ β`).
     pub beta: usize,
-    /// Cluster similarity linkage; [`Linkage::Single`] is the paper's.
-    pub linkage: Linkage,
     /// When `true` (the paper's behaviour), clusters whose best similarity
     /// to every other cluster is below θ are eliminated each round. Turning
-    /// this off is the `ablation_pruning` configuration: the output is
-    /// unchanged, only more clusters are carried through each round.
+    /// it off leaves the output unchanged and only carries more clusters
+    /// through each round; `prune: false` is the oracle the
+    /// pruning-invariance tests compare against.
     pub prune: bool,
 }
 
 impl Default for MatchConfig {
-    /// θ = 0.75 (the paper's experimental setting), β = 1, single linkage,
-    /// pruning on.
+    /// θ = 0.75 (the paper's experimental setting), β = 1, pruning on.
     fn default() -> Self {
         Self {
             theta: 0.75,
             beta: 1,
-            linkage: Linkage::Single,
             prune: true,
         }
     }
@@ -62,8 +59,10 @@ type RoundLoop = fn(&mut Vec<Cluster>, &MatchConfig, &dyn AttrSimilarity, &mut M
 /// [`SolveStats`]: https://docs.rs/mube-core
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct MatchStats {
-    /// Full cluster-pair linkage evaluations: similarity computed by
-    /// iterating the attribute-pair cross product. The brute-force kernel
+    /// Full cluster-pair linkage evaluations: single-linkage similarity
+    /// computed by iterating the attribute-pair cross product (the trace of
+    /// the end-to-end `benchmark/` package reports it as
+    /// `cluster.linkage_evals`, hence the name). The brute-force kernel
     /// pays one per alive pair per round; the incremental kernel only pays
     /// them in the seed pass, one per class pair, including the pairs
     /// whose score it reads from a neighbor row.
@@ -96,8 +95,8 @@ pub struct MatchOutcome {
     pub schema: MediatedSchema,
     /// Its matching quality (the `F1` value): mean GA quality.
     pub quality: f64,
-    /// Number of outer clustering rounds executed (for the pruning
-    /// ablation's work accounting).
+    /// Number of outer clustering rounds executed (Algorithm 1, lines
+    /// 5–23); both kernels report the same count.
     pub rounds: u32,
     /// Work counters (kernel-dependent; excluded from any semantic
     /// comparison between kernels).
@@ -339,10 +338,7 @@ fn brute_force_rounds(
                 if !clusters[i].can_merge(&clusters[j]) {
                     continue;
                 }
-                let s =
-                    config
-                        .linkage
-                        .cluster_similarity(&clusters[i].attrs, &clusters[j].attrs, sim);
+                let s = cluster_similarity(&clusters[i].attrs, &clusters[j].attrs, sim);
                 stats.linkage_evals += 1;
                 if s >= config.theta {
                     heap.push((s, i, j));
@@ -725,22 +721,19 @@ mod tests {
     }
 
     #[test]
-    fn kernels_agree_on_figure3_all_linkages() {
+    fn kernels_agree_on_figure3() {
         let u = figure3_universe();
-        for linkage in [Linkage::Single, Linkage::Complete, Linkage::Average] {
-            for theta in [0.1, 0.3, 0.4, 0.5, 0.75, 0.99] {
-                for prune in [true, false] {
-                    assert_kernels_agree(
-                        &u,
-                        &Constraints::none(),
-                        &MatchConfig {
-                            theta,
-                            linkage,
-                            prune,
-                            ..MatchConfig::default()
-                        },
-                    );
-                }
+        for theta in [0.0, 0.1, 0.3, 0.4, 0.5, 0.75, 0.99] {
+            for prune in [true, false] {
+                assert_kernels_agree(
+                    &u,
+                    &Constraints::none(),
+                    &MatchConfig {
+                        theta,
+                        prune,
+                        ..MatchConfig::default()
+                    },
+                );
             }
         }
     }
@@ -753,20 +746,17 @@ mod tests {
             GlobalAttribute::new([AttrId::new(SourceId(0), 0), AttrId::new(SourceId(2), 0)])
                 .unwrap(),
         );
-        for linkage in [Linkage::Single, Linkage::Complete, Linkage::Average] {
-            for theta in [0.2, 0.4, 0.6] {
-                for beta in [1, 2, 3] {
-                    assert_kernels_agree(
-                        &u,
-                        &constraints,
-                        &MatchConfig {
-                            theta,
-                            beta,
-                            linkage,
-                            ..MatchConfig::default()
-                        },
-                    );
-                }
+        for theta in [0.0, 0.2, 0.4, 0.6] {
+            for beta in [1, 2, 3] {
+                assert_kernels_agree(
+                    &u,
+                    &constraints,
+                    &MatchConfig {
+                        theta,
+                        beta,
+                        ..MatchConfig::default()
+                    },
+                );
             }
         }
     }
@@ -788,20 +778,17 @@ mod tests {
     #[test]
     fn kernels_agree_on_multi_round_chains() {
         let u = chain_universe();
-        for linkage in [Linkage::Single, Linkage::Complete, Linkage::Average] {
-            for theta in [0.2, 0.35, 0.5, 0.8] {
-                for prune in [true, false] {
-                    assert_kernels_agree(
-                        &u,
-                        &Constraints::none(),
-                        &MatchConfig {
-                            theta,
-                            linkage,
-                            prune,
-                            ..MatchConfig::default()
-                        },
-                    );
-                }
+        for theta in [0.0, 0.2, 0.35, 0.5, 0.8] {
+            for prune in [true, false] {
+                assert_kernels_agree(
+                    &u,
+                    &Constraints::none(),
+                    &MatchConfig {
+                        theta,
+                        prune,
+                        ..MatchConfig::default()
+                    },
+                );
             }
         }
     }
@@ -875,30 +862,27 @@ mod tests {
                 .unwrap(),
         );
         for constraints in [Constraints::none(), constrained] {
-            for linkage in [Linkage::Single, Linkage::Complete, Linkage::Average] {
-                for theta in [0.2, 0.5, 0.75] {
-                    let config = MatchConfig {
-                        theta,
-                        linkage,
-                        ..MatchConfig::default()
-                    };
-                    let with_classes = match_sources(&u, &ids, &constraints, &config, &classed);
-                    let per_pair = match_sources(&u, &ids, &constraints, &config, &plain);
-                    let brute = match_sources_brute_force(&u, &ids, &constraints, &config, &plain);
-                    for other in [&per_pair, &brute] {
-                        match (&with_classes, other) {
-                            (None, None) => {}
-                            (Some(a), Some(b)) => {
-                                assert_eq!(a.schema, b.schema, "config={config:?}");
-                                assert!(a.quality.total_cmp(&b.quality).is_eq());
-                                assert_eq!(a.rounds, b.rounds, "config={config:?}");
-                            }
-                            (a, b) => panic!(
-                                "feasibility disagreement: {:?} vs {:?} config={config:?}",
-                                a.is_some(),
-                                b.is_some()
-                            ),
+            for theta in [0.0, 0.2, 0.5, 0.75] {
+                let config = MatchConfig {
+                    theta,
+                    ..MatchConfig::default()
+                };
+                let with_classes = match_sources(&u, &ids, &constraints, &config, &classed);
+                let per_pair = match_sources(&u, &ids, &constraints, &config, &plain);
+                let brute = match_sources_brute_force(&u, &ids, &constraints, &config, &plain);
+                for other in [&per_pair, &brute] {
+                    match (&with_classes, other) {
+                        (None, None) => {}
+                        (Some(a), Some(b)) => {
+                            assert_eq!(a.schema, b.schema, "config={config:?}");
+                            assert!(a.quality.total_cmp(&b.quality).is_eq());
+                            assert_eq!(a.rounds, b.rounds, "config={config:?}");
                         }
+                        (a, b) => panic!(
+                            "feasibility disagreement: {:?} vs {:?} config={config:?}",
+                            a.is_some(),
+                            b.is_some()
+                        ),
                     }
                 }
             }

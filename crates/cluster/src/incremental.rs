@@ -4,8 +4,12 @@
 //! cluster-pair list from attribute pairs every round. This kernel pays that
 //! cost exactly once, in a seed pass, and from then on derives a merged
 //! cluster's similarity row from its parents' rows: under single linkage
-//! `sim(i ∪ j, k) = max(sim(i, k), sim(j, k))` (and min / summed mean for
-//! complete / average linkage — see [`Linkage::lance_williams`]).
+//! `sim(i ∪ j, k) = max(sim(i, k), sim(j, k))`.
+//!
+//! Two rules keep the pair store sparse and exact: a pair is stored iff its
+//! similarity is ≥ θ in total order, and a merged cluster's row is the
+//! maximum over its parents' stored pairs. An absent pair is below θ, so it
+//! can never win a maximum that clears θ.
 //!
 //! Candidate pairs live in a [`BinaryHeap`] ordered by (similarity desc,
 //! lower index asc, higher index asc) — the exact order the brute-force
@@ -22,13 +26,13 @@
 //! is exactly what the Lance–Williams pass enqueues.
 
 use std::cmp::Ordering;
-// HashMap is imported only for the get/insert PairStore below — see its allow.
+// HashMap is imported only for the get/insert pair store below — see its allow.
 #[allow(clippy::disallowed_types)]
 use std::collections::{BTreeMap, BinaryHeap, HashMap};
 use std::hash::{BuildHasherDefault, Hasher};
 
 use crate::algorithm::{Cluster, MatchConfig, MatchStats};
-use crate::linkage::Linkage;
+use crate::linkage::{cluster_similarity, total_max};
 use crate::similarity::AttrSimilarity;
 
 /// splitmix64-finalizer hasher for the packed pair keys. The derive loops
@@ -96,30 +100,18 @@ impl PartialEq for PairEntry {
 
 impl Eq for PairEntry {}
 
-/// Sparse map from an unordered cluster-index pair to its linkage
-/// accumulator. Absence encodes "below the admission bound" — see
-/// [`Linkage::keep_accumulator`] for the per-linkage rule.
-// Keyed lookups and inserts only — nothing walks the map, so hash order
-// cannot leak, and the packed-pair hasher keeps the hot path cheap.
+/// The kernel's pair state: θ, the sparse store of every cluster pair whose
+/// similarity clears θ, per cluster the partners it holds a stored pair
+/// with (which drives the sparse derive walk), and the candidate heap.
+// The store serves keyed lookups and inserts only — nothing walks the map,
+// so hash order cannot leak, and the packed-pair hasher keeps the hot path
+// cheap.
 #[allow(clippy::disallowed_types)]
-#[derive(Default)]
-struct PairStore {
-    map: HashMap<u64, f64, BuildHasherDefault<PairKeyHasher>>,
-}
-
-impl PairStore {
-    fn key(a: usize, b: usize) -> u64 {
-        let (lo, hi) = if a < b { (a, b) } else { (b, a) };
-        ((lo as u64) << 32) | hi as u64
-    }
-
-    fn get(&self, a: usize, b: usize) -> Option<f64> {
-        self.map.get(&Self::key(a, b)).copied()
-    }
-
-    fn insert(&mut self, a: usize, b: usize, acc: f64) {
-        self.map.insert(Self::key(a, b), acc);
-    }
+struct Pairs {
+    theta: f64,
+    store: HashMap<u64, f64, BuildHasherDefault<PairKeyHasher>>,
+    adj: Vec<Vec<u32>>,
+    heap: BinaryHeap<PairEntry>,
 }
 
 /// Runs Algorithm 1's round loop (lines 5–23) with incremental pair
@@ -131,21 +123,11 @@ pub(crate) fn rounds(
     sim: &dyn AttrSimilarity,
     stats: &mut MatchStats,
 ) -> u32 {
-    let linkage = config.linkage;
-    let theta = config.theta;
-    let mut store = PairStore::default();
-    let mut heap: BinaryHeap<PairEntry> = BinaryHeap::new();
-    // Adjacency of the pair store: per cluster, the partners it holds a
-    // stored accumulator with. Drives the sparse derive walk below.
-    let mut adj: Vec<Vec<u32>> = vec![Vec::new(); clusters.len()];
+    let mut pairs = Pairs::seeded(clusters, config.theta, sim, stats);
     // Generation-stamped visit marks for deduplicating the derive walk
     // (a partner can appear in both parents' adjacency lists).
     let mut visited: Vec<u32> = vec![0; clusters.len()];
     let mut visit_gen: u32 = 0;
-
-    seed_pairs(
-        clusters, linkage, theta, sim, &mut store, &mut adj, &mut heap, stats,
-    );
 
     let mut rounds = 0u32;
     loop {
@@ -161,9 +143,9 @@ pub(crate) fn rounds(
 
         // Lines 9–19: consume this round's candidate pairs, best first. The
         // drain is total — every entry stamped for this round is popped.
-        let mut merges: Vec<(usize, usize)> = Vec::new();
+        let mut merges: Vec<[usize; 2]> = Vec::new();
         let mut new_clusters: Vec<Cluster> = Vec::new();
-        while let Some(entry) = heap.pop() {
+        while let Some(entry) = pairs.heap.pop() {
             let (i, j) = (entry.lo as usize, entry.hi as usize);
             debug_assert!(entry.round <= rounds, "heap entry from a future round");
             if entry.round != rounds
@@ -178,7 +160,7 @@ pub(crate) fn rounds(
                     // Only mergeable pairs are ever enqueued.
                     debug_assert!(clusters[i].can_merge(&clusters[j]));
                     new_clusters.push(clusters[i].merge_with(&clusters[j]));
-                    merges.push((i, j));
+                    merges.push([i, j]);
                     clusters[i].merged = true;
                     clusters[i].alive = false;
                     clusters[j].merged = true;
@@ -208,157 +190,65 @@ pub(crate) fn rounds(
 
         // Append the round's merged clusters and derive each one's
         // similarity row from its parents' stored rows — next round's heap.
-        // Only partners a parent holds a stored accumulator with can yield
-        // an admissible derived row (Single/Complete derive to "absent" from
-        // absent parts; Average derives to 0.0, which is inadmissible for
-        // θ > 0), so the derive walks the parents' adjacency lists instead
-        // of scanning every alive cluster: work proportional to stored
-        // pairs, not clusters². Derived rows exist for mergeable and
+        // A partner neither parent holds a stored pair with has both parts
+        // below θ, so its derived similarity is below θ too: the derive
+        // walks the parents' adjacency lists instead of scanning every alive
+        // cluster, work proportional to stored pairs, not clusters². At
+        // θ ≤ 0 every mergeable seed pair is stored, so the walk reaches
+        // every mergeable partner. Derived rows exist for mergeable and
         // unmergeable partners alike (the O(1) combine is cheaper than a
         // source-set disjointness walk); `can_merge` gates only the rare
-        // ≥ θ heap candidates. A derived accumulator for an unmergeable pair
+        // ≥ θ heap candidates. A derived similarity for an unmergeable pair
         // can undercount (its unmergeable ancestors were skipped at seed
         // time), but no mergeable pair ever consumes it: a mergeable pair's
         // ancestor pairs are all mergeable, since ancestor source sets are
         // subsets of the pair's.
-        //
-        // The θ ≤ 0 corner — where Average's all-absent 0.0 row WOULD clear
-        // the threshold — falls back to a dense scan over alive clusters
-        // and same-round siblings.
         let base = clusters.len();
-        let dense = theta <= 0.0;
-        let alive_old: Vec<usize> = if dense {
-            (0..base).filter(|&k| clusters[k].alive).collect()
-        } else {
-            Vec::new()
-        };
         // Which merge slot consumed each pre-round cluster: routes a dead
         // neighbour's adjacency to the sibling cluster that replaced it.
         let mut minted_from: Vec<Option<u32>> = vec![None; base];
-        for (m, &(i, j)) in merges.iter().enumerate() {
+        for (m, &[i, j]) in merges.iter().enumerate() {
             minted_from[i] = Some(m as u32);
             minted_from[j] = Some(m as u32);
         }
         for (m, new_cluster) in new_clusters.into_iter().enumerate() {
             let n = clusters.len();
-            let (pi, pj) = merges[m];
+            let parents = merges[m];
             clusters.push(new_cluster);
-            adj.push(Vec::new());
+            pairs.adj.push(Vec::new());
             visited.push(0);
-            if dense {
-                for &k in &alive_old {
-                    let derived = linkage.lance_williams([store.get(pi, k), store.get(pj, k)]);
-                    stats.lw_updates += 1;
-                    if let Some(acc) = derived {
-                        admit(
-                            k,
-                            n,
-                            acc,
-                            rounds + 1,
-                            clusters,
-                            linkage,
-                            theta,
-                            &mut store,
-                            &mut adj,
-                            &mut heap,
-                            stats,
-                        );
-                    }
-                }
-                // Sibling clusters minted this same round have no rows
-                // against the (now dead) parents; their own parents do. The
-                // accumulators are associative, so combining the four
-                // grandparent parts equals the two-level combination.
-                for (s, &(qi, qj)) in merges.iter().enumerate().take(m) {
-                    let k = base + s;
-                    let derived = linkage.lance_williams([
-                        store.get(pi, qi),
-                        store.get(pi, qj),
-                        store.get(pj, qi),
-                        store.get(pj, qj),
-                    ]);
-                    stats.lw_updates += 1;
-                    if let Some(acc) = derived {
-                        admit(
-                            k,
-                            n,
-                            acc,
-                            rounds + 1,
-                            clusters,
-                            linkage,
-                            theta,
-                            &mut store,
-                            &mut adj,
-                            &mut heap,
-                            stats,
-                        );
-                    }
-                }
-                continue;
-            }
             visit_gen += 1;
-            for parent in [pi, pj] {
+            for parent in parents {
                 let mut idx = 0;
-                while idx < adj[parent].len() {
-                    let k = adj[parent][idx] as usize;
+                while idx < pairs.adj[parent].len() {
+                    let k = pairs.adj[parent][idx] as usize;
                     idx += 1;
                     debug_assert!(k < base, "a dead parent gained no new pairs this round");
                     if visited[k] == visit_gen {
                         continue;
                     }
                     visited[k] = visit_gen;
-                    if clusters[k].alive {
-                        let derived = linkage.lance_williams([store.get(pi, k), store.get(pj, k)]);
-                        stats.lw_updates += 1;
-                        if let Some(acc) = derived {
-                            admit(
-                                k,
-                                n,
-                                acc,
-                                rounds + 1,
-                                clusters,
-                                linkage,
-                                theta,
-                                &mut store,
-                                &mut adj,
-                                &mut heap,
-                                stats,
-                            );
-                        }
-                    } else if let Some(s) = minted_from[k] {
-                        // The neighbour merged this round: derive against
-                        // the sibling that replaced it, from the four
-                        // grandparent parts (the accumulators are
-                        // associative, so this equals the two-level
-                        // combination). Process each earlier sibling once;
-                        // later siblings derive the pair from their side.
-                        let s = s as usize;
-                        if s < m && visited[base + s] != visit_gen {
-                            visited[base + s] = visit_gen;
-                            let (qi, qj) = merges[s];
-                            let derived = linkage.lance_williams([
-                                store.get(pi, qi),
-                                store.get(pi, qj),
-                                store.get(pj, qi),
-                                store.get(pj, qj),
-                            ]);
-                            stats.lw_updates += 1;
-                            if let Some(acc) = derived {
-                                admit(
-                                    base + s,
-                                    n,
-                                    acc,
-                                    rounds + 1,
-                                    clusters,
-                                    linkage,
-                                    theta,
-                                    &mut store,
-                                    &mut adj,
-                                    &mut heap,
-                                    stats,
-                                );
+                    // The partner and its parts: an alive neighbour is its
+                    // own part. A neighbour that merged this round is
+                    // replaced by its sibling, derived from the four
+                    // grandparent pairs (max is associative, so this equals
+                    // the two-level combination); each earlier sibling is
+                    // derived once, and later siblings derive the pair
+                    // from their side.
+                    let (partner, parts) = if clusters[k].alive {
+                        (k, std::slice::from_ref(&k))
+                    } else {
+                        match minted_from[k].map(|sib| sib as usize) {
+                            Some(sib) if sib < m && visited[base + sib] != visit_gen => {
+                                visited[base + sib] = visit_gen;
+                                (base + sib, &merges[sib][..])
                             }
+                            _ => continue,
                         }
+                    };
+                    stats.lw_updates += 1;
+                    if let Some(s) = pairs.max_stored(&parents, parts) {
+                        pairs.admit(partner, n, s, rounds + 1, clusters, stats);
                     }
                 }
             }
@@ -371,157 +261,211 @@ pub(crate) fn rounds(
     rounds
 }
 
-/// The seed pass: admits every mergeable seed-cluster pair exactly once —
-/// the only all-pairs sweep the incremental kernel ever performs.
-///
-/// When the similarity source exposes equivalence classes (see
-/// [`AttrSimilarity::class_of`]), singleton seed clusters are grouped by
-/// class and one representative pair per *class* pair is evaluated; the
-/// value is reused for every member pair, and class pairs that clear
-/// neither the admission bound nor θ skip their whole member-pair product.
-/// On deduplicating similarity sources (the engine's precomputed matrix)
-/// this collapses the O(attrs²) sweep to O(classes²) evaluations plus work
-/// proportional to the pairs actually admitted. Clusters that are not
-/// classed singletons — constraint-seeded GA clusters, or any cluster under
-/// a class-less similarity source — fall back to the per-pair path, so the
-/// admitted (pair, accumulator) set is identical either way, bitwise, by
-/// the `class_of` contract.
-#[allow(clippy::too_many_arguments)]
-fn seed_pairs(
-    clusters: &[Cluster],
-    linkage: Linkage,
-    theta: f64,
-    sim: &dyn AttrSimilarity,
-    store: &mut PairStore,
-    adj: &mut [Vec<u32>],
-    heap: &mut BinaryHeap<PairEntry>,
-    stats: &mut MatchStats,
-) {
-    let class: Vec<Option<u32>> = clusters
-        .iter()
-        .map(|c| match c.attrs[..] {
-            [attr] => sim.class_of(attr),
-            _ => None,
-        })
-        .collect();
-
-    let mut groups: BTreeMap<u32, Vec<usize>> = BTreeMap::new();
-    let mut generic: Vec<usize> = Vec::new();
-    for (i, cl) in class.iter().enumerate() {
-        match cl {
-            Some(c) => groups.entry(*c).or_default().push(i),
-            None => generic.push(i),
-        }
-    }
-
-    // Generic clusters pair with everything; generic–generic pairs are
-    // deduplicated by index order.
-    for &g in &generic {
-        for k in 0..clusters.len() {
-            let admissible = match class[k] {
-                Some(_) => true,
-                None => k < g,
-            };
-            if !admissible || !clusters[g].can_merge(&clusters[k]) {
-                continue;
-            }
-            let acc = linkage.accumulate(&clusters[g].attrs, &clusters[k].attrs, sim);
-            stats.linkage_evals += 1;
-            admit(
-                g.min(k),
-                g.max(k),
-                acc,
-                1,
-                clusters,
-                linkage,
-                theta,
-                store,
-                adj,
-                heap,
-                stats,
-            );
-        }
-    }
-
-    // Class pairs: one representative evaluation each. All member clusters
-    // are singletons, so the finished similarity equals the raw accumulator
-    // under every linkage and the admission test can run on `acc` directly.
-    // The `BTreeMap` drain is sorted by class id, so `admit` sees the pairs
-    // in the same order every run — the heap's tie-breaking (and therefore
-    // the merge trace) must not depend on per-process hash seeding.
-    let (classes, members): (Vec<u32>, Vec<Vec<usize>>) = groups.into_iter().unzip();
-    let representative = |l: &[usize], r: &[usize]| {
-        linkage.accumulate(&clusters[l[0]].attrs, &clusters[r[0]].attrs, sim)
-    };
-    let mut partners: Vec<(usize, usize)> = Vec::new();
-    for (gi, (ci, left)) in classes.iter().zip(&members).enumerate() {
-        // Sparse seed pass: when the similarity source exposes each class's
-        // non-zero neighbors, only those class pairs can matter — an absent
-        // pair scores exactly 0.0, which for θ > 0 clears neither the
-        // admission bound (Single/Complete keep acc ≥ θ; Average keeps
-        // acc ≠ 0.0) nor the θ heap gate — so the quadratic group-pair
-        // sweep collapses to the stored pair set, bitwise-identically.
-        // θ ≤ 0 keeps the dense sweep: there a 0.0 pair IS heap-eligible.
-        // The neighbor row spans the whole universe while this call's
-        // classes are usually a handful, so the row is intersected with the
-        // later classes (d ≤ ci pairs were handled from d's side) rather
-        // than walked; the matches come out ascending by class id, so pairs
-        // reach `admit` in the dense sweep's order.
-        let neighbors = if theta > 0.0 {
-            sim.neighbors_of_class(*ci)
-        } else {
-            None
+impl Pairs {
+    /// The seed pass: admits every mergeable seed-cluster pair exactly
+    /// once — the only all-pairs sweep the incremental kernel ever performs.
+    ///
+    /// When the similarity source exposes equivalence classes (see
+    /// [`AttrSimilarity::class_of`]), singleton seed clusters are grouped by
+    /// class and one representative pair per *class* pair is evaluated; the
+    /// value is reused for every member pair, and class pairs below θ skip
+    /// their whole member-pair product. On deduplicating similarity sources
+    /// (the engine's precomputed matrix) this collapses the O(attrs²) sweep
+    /// to O(classes²) evaluations plus work proportional to the pairs
+    /// actually admitted. Clusters that are not classed singletons —
+    /// constraint-seeded GA clusters, or any cluster under a class-less
+    /// similarity source — fall back to the per-pair path, so the admitted
+    /// (pair, similarity) set is identical either way, bitwise, by the
+    /// `class_of` contract.
+    fn seeded(
+        clusters: &[Cluster],
+        theta: f64,
+        sim: &dyn AttrSimilarity,
+        stats: &mut MatchStats,
+    ) -> Pairs {
+        let mut pairs = Pairs {
+            theta,
+            store: Default::default(),
+            adj: vec![Vec::new(); clusters.len()],
+            heap: BinaryHeap::new(),
         };
-        match neighbors {
-            Some(nbrs) => {
-                // The self pair is not in the neighbor list (it excludes
-                // the class itself) but is always evaluated: identical
-                // names score 1.0 regardless of sparsity.
-                let acc = representative(left, left);
-                class_pair_seed(
-                    acc, left, left, true, clusters, linkage, theta, store, adj, heap, stats,
-                );
-                let scores = sim.neighbor_scores_of_class(*ci);
-                intersect_ascending(nbrs, &classes[gi + 1..], &mut partners);
-                for &(p, k) in &partners {
-                    let right = &members[gi + 1 + p];
-                    // A neighbor score is non-zero, so for a singleton pair
-                    // every linkage's accumulator is the score itself.
-                    let acc = match scores {
-                        Some(scores) => {
-                            let acc = f64::from(scores[k]);
-                            debug_assert_eq!(
-                                acc.to_bits(),
-                                representative(left, right).to_bits(),
-                                "neighbor score of class {ci} disagrees with its similarity"
-                            );
-                            acc
-                        }
-                        None => representative(left, right),
-                    };
-                    class_pair_seed(
-                        acc, left, right, false, clusters, linkage, theta, store, adj, heap, stats,
-                    );
+        let class: Vec<Option<u32>> = clusters
+            .iter()
+            .map(|c| match c.attrs[..] {
+                [attr] => sim.class_of(attr),
+                _ => None,
+            })
+            .collect();
+
+        let mut groups: BTreeMap<u32, Vec<usize>> = BTreeMap::new();
+        let mut generic: Vec<usize> = Vec::new();
+        for (i, cl) in class.iter().enumerate() {
+            match cl {
+                Some(c) => groups.entry(*c).or_default().push(i),
+                None => generic.push(i),
+            }
+        }
+
+        // Generic clusters pair with everything; generic–generic pairs are
+        // deduplicated by index order.
+        for &g in &generic {
+            for k in 0..clusters.len() {
+                let admissible = match class[k] {
+                    Some(_) => true,
+                    None => k < g,
+                };
+                if !admissible || !clusters[g].can_merge(&clusters[k]) {
+                    continue;
+                }
+                let s = cluster_similarity(&clusters[g].attrs, &clusters[k].attrs, sim);
+                stats.linkage_evals += 1;
+                pairs.admit(g.min(k), g.max(k), s, 1, clusters, stats);
+            }
+        }
+
+        // Class pairs: one representative evaluation each. The `BTreeMap`
+        // drain is sorted by class id, so `admit` sees the pairs in the same
+        // order every run — the heap's tie-breaking (and therefore the merge
+        // trace) must not depend on per-process hash seeding.
+        let (classes, members): (Vec<u32>, Vec<Vec<usize>>) = groups.into_iter().unzip();
+        let representative = |l: &[usize], r: &[usize]| {
+            cluster_similarity(&clusters[l[0]].attrs, &clusters[r[0]].attrs, sim)
+        };
+        let mut partners: Vec<(usize, usize)> = Vec::new();
+        for (gi, (ci, left)) in classes.iter().zip(&members).enumerate() {
+            // Sparse seed pass: when the similarity source exposes each
+            // class's non-zero neighbors, only those class pairs can matter —
+            // an absent pair scores exactly 0.0, which for θ > 0 clears
+            // neither the store nor the heap gate — so the quadratic
+            // group-pair sweep collapses to the stored pair set,
+            // bitwise-identically. θ ≤ 0 keeps the dense sweep: there a 0.0
+            // pair IS heap-eligible, and neighbor rows omit zeros. The
+            // neighbor row spans the whole universe while this call's
+            // classes are usually a handful, so the row is intersected with
+            // the later classes (d ≤ ci pairs were handled from d's side)
+            // rather than walked; the matches come out ascending by class
+            // id, so pairs reach `admit` in the dense sweep's order.
+            let neighbors = if theta > 0.0 {
+                sim.neighbors_of_class(*ci)
+            } else {
+                None
+            };
+            match neighbors {
+                Some(nbrs) => {
+                    // The self pair is not in the neighbor list (it excludes
+                    // the class itself) but is always evaluated: identical
+                    // names score 1.0 regardless of sparsity.
+                    let s = representative(left, left);
+                    pairs.class_pair_seed(s, left, left, true, clusters, stats);
+                    let scores = sim.neighbor_scores_of_class(*ci);
+                    intersect_ascending(nbrs, &classes[gi + 1..], &mut partners);
+                    for &(p, k) in &partners {
+                        let right = &members[gi + 1 + p];
+                        let s = match scores {
+                            Some(scores) => {
+                                let s = f64::from(scores[k]);
+                                debug_assert_eq!(
+                                    s.to_bits(),
+                                    representative(left, right).to_bits(),
+                                    "neighbor score of class {ci} disagrees with its similarity"
+                                );
+                                s
+                            }
+                            None => representative(left, right),
+                        };
+                        pairs.class_pair_seed(s, left, right, false, clusters, stats);
+                    }
+                }
+                None => {
+                    for (gj, right) in members.iter().enumerate().skip(gi) {
+                        let s = representative(left, right);
+                        pairs.class_pair_seed(s, left, right, gi == gj, clusters, stats);
+                    }
                 }
             }
-            None => {
-                for (gj, right) in members.iter().enumerate().skip(gi) {
-                    let acc = representative(left, right);
-                    class_pair_seed(
-                        acc,
-                        left,
-                        right,
-                        gi == gj,
-                        clusters,
-                        linkage,
-                        theta,
-                        store,
-                        adj,
-                        heap,
-                        stats,
-                    );
+        }
+        pairs
+    }
+
+    fn key(a: usize, b: usize) -> u64 {
+        let (lo, hi) = if a < b { (a, b) } else { (b, a) };
+        ((lo as u64) << 32) | hi as u64
+    }
+
+    /// Whether a similarity earns a store entry: ≥ θ in total order, so a
+    /// NaN-poisoned similarity stays representable (and keeps poisoning
+    /// derived values) instead of vanishing silently.
+    fn clears(&self, s: f64) -> bool {
+        s.total_cmp(&self.theta).is_ge()
+    }
+
+    /// The merged cluster `left[0] ∪ left[1]`'s similarity to the cluster
+    /// made of `parts` (Lance–Williams under single linkage): the maximum
+    /// over the stored pairs between the two sides' parts, or `None` when
+    /// none is stored — every part pair is then below θ, and so is their
+    /// maximum.
+    fn max_stored(&self, left: &[usize; 2], parts: &[usize]) -> Option<f64> {
+        parts
+            .iter()
+            .flat_map(|&q| left.map(|p| self.store.get(&Self::key(p, q)).copied()))
+            .flatten()
+            .reduce(total_max)
+    }
+
+    /// Admits every mergeable member pair of one class pair with the class
+    /// pair's shared representative similarity `s`, when it clears θ.
+    /// `same` marks the diagonal (left == right), where member pairs are
+    /// deduplicated by position.
+    fn class_pair_seed(
+        &mut self,
+        s: f64,
+        left: &[usize],
+        right: &[usize],
+        same: bool,
+        clusters: &[Cluster],
+        stats: &mut MatchStats,
+    ) {
+        stats.linkage_evals += 1;
+        if !self.clears(s) {
+            return;
+        }
+        for (pos, &a) in left.iter().enumerate() {
+            let partners = if same { &right[pos + 1..] } else { right };
+            for &b in partners {
+                if clusters[a].can_merge(&clusters[b]) {
+                    self.admit(a.min(b), a.max(b), s, 1, clusters, stats);
                 }
             }
+        }
+    }
+
+    /// Records a pair's similarity in the store (when it clears θ in total
+    /// order) and enqueues the pair for `round` (when it is ≥ θ AND the
+    /// pair can actually merge — the drain loop's merge decision relies on
+    /// every heap pair being mergeable). The disjointness walk runs only
+    /// for the rare ≥ θ candidates.
+    fn admit(
+        &mut self,
+        lo: usize,
+        hi: usize,
+        s: f64,
+        round: u32,
+        clusters: &[Cluster],
+        stats: &mut MatchStats,
+    ) {
+        if self.clears(s) {
+            self.store.insert(Self::key(lo, hi), s);
+            self.adj[lo].push(hi as u32);
+            self.adj[hi].push(lo as u32);
+        }
+        if s >= self.theta && clusters[lo].can_merge(&clusters[hi]) {
+            self.heap.push(PairEntry {
+                sim: s,
+                lo: lo as u32,
+                hi: hi as u32,
+                round,
+            });
+            stats.heap_pushes += 1;
         }
     }
 }
@@ -576,87 +520,6 @@ fn gallop(sorted: &[u32], key: u32) -> usize {
     }
     let lo = bound / 2;
     lo + sorted[lo..bound.min(sorted.len())].partition_point(|&d| d < key)
-}
-
-/// Admits every mergeable member pair of one class pair with the class
-/// pair's shared representative accumulator `acc`, when it can clear
-/// admission or θ. `same` marks the diagonal (left == right), where member
-/// pairs are deduplicated by position.
-#[allow(clippy::too_many_arguments)]
-fn class_pair_seed(
-    acc: f64,
-    left: &[usize],
-    right: &[usize],
-    same: bool,
-    clusters: &[Cluster],
-    linkage: Linkage,
-    theta: f64,
-    store: &mut PairStore,
-    adj: &mut [Vec<u32>],
-    heap: &mut BinaryHeap<PairEntry>,
-    stats: &mut MatchStats,
-) {
-    stats.linkage_evals += 1;
-    let enumerate = linkage.keep_accumulator(acc, theta) || acc >= theta;
-    if !enumerate {
-        return;
-    }
-    for (pos, &a) in left.iter().enumerate() {
-        let partners = if same { &right[pos + 1..] } else { right };
-        for &b in partners {
-            if clusters[a].can_merge(&clusters[b]) {
-                admit(
-                    a.min(b),
-                    a.max(b),
-                    acc,
-                    1,
-                    clusters,
-                    linkage,
-                    theta,
-                    store,
-                    adj,
-                    heap,
-                    stats,
-                );
-            }
-        }
-    }
-}
-
-/// Records a pair's accumulator in the store (when it clears the admission
-/// bound) and enqueues the pair for `round` (when its similarity clears θ
-/// AND the pair can actually merge — the drain loop's merge decision relies
-/// on every heap pair being mergeable). The disjointness walk runs only for
-/// the rare ≥ θ candidates.
-#[allow(clippy::too_many_arguments)]
-fn admit(
-    lo: usize,
-    hi: usize,
-    acc: f64,
-    round: u32,
-    clusters: &[Cluster],
-    linkage: Linkage,
-    theta: f64,
-    store: &mut PairStore,
-    adj: &mut [Vec<u32>],
-    heap: &mut BinaryHeap<PairEntry>,
-    stats: &mut MatchStats,
-) {
-    if linkage.keep_accumulator(acc, theta) {
-        store.insert(lo, hi, acc);
-        adj[lo].push(hi as u32);
-        adj[hi].push(lo as u32);
-    }
-    let s = linkage.finish(acc, clusters[lo].attrs.len(), clusters[hi].attrs.len());
-    if s >= theta && clusters[lo].can_merge(&clusters[hi]) {
-        heap.push(PairEntry {
-            sim: s,
-            lo: lo as u32,
-            hi: hi as u32,
-            round,
-        });
-        stats.heap_pushes += 1;
-    }
 }
 
 #[cfg(test)]

@@ -33,7 +33,9 @@
 //! an attribute of one cluster and an attribute of the other) — this is what
 //! makes GA constraints "bridge" dissimilar attributes: the cluster keeps
 //! growing from both seeds without the dissimilar pair penalizing it.
-//! Complete and average linkage are provided for the ablation benches.
+//! It is the only linkage: it is what lets the incremental kernel keep a
+//! pair store holding only pairs ≥ θ and derive a merged cluster's row as
+//! the maximum over its parents' stored pairs.
 
 #![forbid(unsafe_code)]
 #![deny(missing_docs)]
@@ -49,6 +51,6 @@ pub use algorithm::{
     match_sources, match_sources_brute_force, match_sources_deferring_spans, MatchConfig,
     MatchOutcome, MatchStats,
 };
-pub use linkage::Linkage;
+pub use linkage::cluster_similarity;
 pub use quality::{ga_quality, schema_quality};
 pub use similarity::{AttrSimilarity, MeasureAdapter};

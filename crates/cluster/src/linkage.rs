@@ -1,4 +1,10 @@
-//! Cluster-to-cluster similarity linkage.
+//! Cluster-to-cluster similarity: single linkage.
+//!
+//! The paper defines cluster similarity as "the maximum similarity between
+//! an attribute from the first cluster and an attribute from the second
+//! cluster". Single linkage is what lets GA constraints bridge dissimilar
+//! attributes: a cluster containing the dissimilar pair `{a, b}` still
+//! attracts attributes similar to *either* seed.
 
 use mube_schema::AttrId;
 
@@ -16,159 +22,17 @@ pub(crate) fn total_max(a: f64, b: f64) -> f64 {
     }
 }
 
-/// Total-order minimum over similarity scores; see [`total_max`].
-pub(crate) fn total_min(a: f64, b: f64) -> f64 {
-    if a.total_cmp(&b).is_gt() {
-        b
-    } else {
-        a
-    }
-}
-
-/// How the similarity between two clusters is derived from attribute-pair
-/// similarities.
-///
-/// The paper defines cluster similarity as "the maximum similarity between
-/// an attribute from the first cluster and an attribute from the second
-/// cluster" — [`Linkage::Single`]. Single linkage is what lets GA
-/// constraints bridge dissimilar attributes: a cluster containing the
-/// dissimilar pair `{a, b}` still attracts attributes similar to *either*
-/// seed. Complete and average linkage exist for the `ablation_linkage`
-/// bench, which quantifies how much of the bridging effect is lost.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum Linkage {
-    /// Maximum pair similarity (the paper's definition).
-    #[default]
-    Single,
-    /// Minimum pair similarity.
-    Complete,
-    /// Mean pair similarity.
-    Average,
-}
-
-impl Linkage {
-    /// Similarity between two attribute groups under this linkage.
-    ///
-    /// Returns 0.0 if either group is empty.
-    pub fn cluster_similarity(self, a: &[AttrId], b: &[AttrId], sim: &dyn AttrSimilarity) -> f64 {
-        if a.is_empty() || b.is_empty() {
-            return 0.0;
-        }
-        self.finish(self.accumulate(a, b, sim), a.len(), b.len())
-    }
-
-    /// The raw accumulator over all attribute pairs of two groups: the
-    /// total-order max (single), total-order min (complete) or running sum
-    /// (average) of pair similarities. [`Linkage::finish`] turns it into the
-    /// cluster similarity; keeping the two apart lets the incremental kernel
-    /// maintain accumulators under merges (see [`Linkage::lance_williams`]).
-    pub(crate) fn accumulate(self, a: &[AttrId], b: &[AttrId], sim: &dyn AttrSimilarity) -> f64 {
-        match self {
-            Linkage::Single => {
-                let mut best = 0.0f64;
-                for &x in a {
-                    for &y in b {
-                        best = total_max(best, sim.similarity(x, y));
-                    }
-                }
-                best
-            }
-            Linkage::Complete => {
-                let mut worst = f64::INFINITY;
-                for &x in a {
-                    for &y in b {
-                        worst = total_min(worst, sim.similarity(x, y));
-                    }
-                }
-                worst
-            }
-            Linkage::Average => {
-                let mut total = 0.0;
-                for &x in a {
-                    for &y in b {
-                        total += sim.similarity(x, y);
-                    }
-                }
-                total
-            }
+/// Single-linkage similarity between two attribute groups: the total-order
+/// maximum over their attribute-pair similarities, starting from 0.0, so an
+/// empty group scores 0.0.
+pub fn cluster_similarity(a: &[AttrId], b: &[AttrId], sim: &dyn AttrSimilarity) -> f64 {
+    let mut best = 0.0f64;
+    for &x in a {
+        for &y in b {
+            best = total_max(best, sim.similarity(x, y));
         }
     }
-
-    /// Cluster similarity from an accumulator: the identity for max/min
-    /// linkages, the mean for average linkage.
-    pub(crate) fn finish(self, acc: f64, a_len: usize, b_len: usize) -> f64 {
-        match self {
-            Linkage::Single | Linkage::Complete => acc,
-            Linkage::Average => acc / (a_len * b_len) as f64,
-        }
-    }
-
-    /// Lance–Williams update: the accumulator of a merged cluster against a
-    /// third cluster, combined from the parents' accumulators (`parts`).
-    ///
-    /// All three accumulators are associative-commutative reductions over
-    /// attribute pairs, so combining parent parts reproduces the from-scratch
-    /// value exactly for single (max) and complete (min) linkage; for average
-    /// linkage the sum is combined in merge-tree order rather than attribute
-    /// order, which is exact whenever pair similarities carry ≤ f32 precision
-    /// (the engine's matrix-backed path) and within an ulp otherwise.
-    ///
-    /// A `None` part means the pair store held no entry for that parent pair:
-    /// its accumulator was below the admission bound (for single/complete, a
-    /// similarity below θ; for average, a zero sum). `None` results propagate
-    /// the same meaning upward.
-    pub(crate) fn lance_williams<I>(self, parts: I) -> Option<f64>
-    where
-        I: IntoIterator<Item = Option<f64>>,
-    {
-        match self {
-            // max over present parts: absent parts are < θ and cannot win.
-            Linkage::Single => parts.into_iter().flatten().reduce(total_max),
-            // min over all parts: one absent part (< θ) drags the merged
-            // cluster's minimum below θ, so the result is absent too.
-            Linkage::Complete => {
-                let mut worst: Option<f64> = None;
-                for part in parts {
-                    let v = part?;
-                    worst = Some(match worst {
-                        None => v,
-                        Some(w) => total_min(w, v),
-                    });
-                }
-                worst
-            }
-            // sum of parts; an absent part is exactly a zero sum.
-            Linkage::Average => {
-                let mut total = 0.0;
-                for part in parts {
-                    total += part.unwrap_or(0.0);
-                }
-                Some(total)
-            }
-        }
-    }
-
-    /// Whether an accumulator earns a pair-store entry. Values below the
-    /// bound are represented by absence — [`Linkage::lance_williams`]
-    /// reconstructs their meaning — which keeps the store sparse for the
-    /// θ-thresholded linkages. The comparison is total-order so a
-    /// NaN-poisoned similarity stays representable (and keeps poisoning
-    /// derived values) instead of vanishing silently.
-    pub(crate) fn keep_accumulator(self, acc: f64, theta: f64) -> bool {
-        match self {
-            Linkage::Single | Linkage::Complete => acc.total_cmp(&theta).is_ge(),
-            Linkage::Average => acc.total_cmp(&0.0).is_ne(),
-        }
-    }
-
-    /// Short name for reports.
-    pub fn name(self) -> &'static str {
-        match self {
-            Linkage::Single => "single",
-            Linkage::Complete => "complete",
-            Linkage::Average => "average",
-        }
-    }
+    best
 }
 
 #[cfg(test)]
@@ -205,44 +69,13 @@ mod tests {
 
     #[test]
     fn single_takes_max() {
-        let s =
-            Linkage::Single.cluster_similarity(&[attr(0), attr(1)], &[attr(2), attr(3)], &table());
+        let s = cluster_similarity(&[attr(0), attr(1)], &[attr(2), attr(3)], &table());
         assert_eq!(s, 0.9);
     }
 
     #[test]
-    fn complete_takes_min() {
-        let s = Linkage::Complete.cluster_similarity(
-            &[attr(0), attr(1)],
-            &[attr(2), attr(3)],
-            &table(),
-        );
-        assert_eq!(s, 0.1);
-    }
-
-    #[test]
-    fn average_takes_mean() {
-        let s =
-            Linkage::Average.cluster_similarity(&[attr(0), attr(1)], &[attr(2), attr(3)], &table());
-        assert!((s - 0.45).abs() < 1e-12);
-    }
-
-    #[test]
     fn empty_groups_are_zero() {
-        assert_eq!(
-            Linkage::Single.cluster_similarity(&[], &[attr(0)], &table()),
-            0.0
-        );
-        assert_eq!(
-            Linkage::Complete.cluster_similarity(&[attr(0)], &[], &table()),
-            0.0
-        );
-    }
-
-    #[test]
-    fn names() {
-        assert_eq!(Linkage::Single.name(), "single");
-        assert_eq!(Linkage::Complete.name(), "complete");
-        assert_eq!(Linkage::Average.name(), "average");
+        assert_eq!(cluster_similarity(&[], &[attr(0)], &table()), 0.0);
+        assert_eq!(cluster_similarity(&[attr(0)], &[], &table()), 0.0);
     }
 }

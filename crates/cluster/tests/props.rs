@@ -4,7 +4,7 @@
 use proptest::prelude::*;
 
 use mube_cluster::{
-    ga_quality, match_sources, match_sources_brute_force, AttrSimilarity, Linkage, MatchConfig,
+    ga_quality, match_sources, match_sources_brute_force, AttrSimilarity, MatchConfig,
     MeasureAdapter,
 };
 use mube_schema::{
@@ -59,10 +59,10 @@ fn run(
 }
 
 /// Similarities rounded to f32, mirroring the engine's matrix-backed
-/// production path. With ≤ f32-precision pair values, f64 sums are exact in
-/// any association order, so the incremental kernel's merge-tree-ordered
-/// average-linkage sums are bitwise identical to the brute-force kernel's
-/// attribute-ordered ones (max/min linkages are order-exact regardless).
+/// production path: the sparse store behind [`SparseAdapter`] holds f32
+/// scores, so the brute-force reference it is compared against must read
+/// the same f32-rounded values. The kernel-equivalence tests share it, so
+/// every kernel comparison runs on production-precision values.
 struct F32Quantized<'a>(MeasureAdapter<'a>);
 
 impl AttrSimilarity for F32Quantized<'_> {
@@ -99,8 +99,10 @@ fn assert_kernels_equivalent(universe: &Universe, constraints: &Constraints, con
     }
 }
 
-fn arb_linkage() -> impl Strategy<Value = Linkage> {
-    prop::sample::select(vec![Linkage::Single, Linkage::Complete, Linkage::Average])
+/// θ over (0.05, 1.0), or exactly 0.0 — where every mergeable pair is a
+/// candidate and the seed pass must take its dense sweep — half the time.
+fn arb_theta() -> impl Strategy<Value = f64> {
+    (any::<bool>(), 0.05f64..1.0).prop_map(|(zero, theta)| if zero { 0.0 } else { theta })
 }
 
 /// The sparse blocked similarity store behind the [`AttrSimilarity`]
@@ -259,23 +261,20 @@ proptest! {
     }
 
     #[test]
-    fn linkages_agree_on_identical_name_clusters(universe in arb_universe()) {
-        // At theta = 1.0 - eps, only identical normalized names merge; all
-        // linkages coincide there because every cross pair has sim 1.
-        for linkage in [Linkage::Single, Linkage::Complete, Linkage::Average] {
-            let config = MatchConfig {
-                theta: 0.999,
-                linkage,
-                ..MatchConfig::default()
-            };
-            let out = run(&universe, &Constraints::none(), &config).unwrap();
-            for ga in out.schema.gas() {
-                let names: std::collections::BTreeSet<&str> = ga
-                    .attrs()
-                    .map(|a| universe.attr_name(a).unwrap())
-                    .collect();
-                prop_assert_eq!(names.len(), 1, "mixed names at theta≈1 under {:?}", linkage);
-            }
+    fn only_identical_names_cluster_at_theta_near_one(universe in arb_universe()) {
+        // At theta = 1.0 - eps, only identical names merge: a GA's single
+        // linkage chain then links attributes of similarity 1 only.
+        let config = MatchConfig {
+            theta: 0.999,
+            ..MatchConfig::default()
+        };
+        let out = run(&universe, &Constraints::none(), &config).unwrap();
+        for ga in out.schema.gas() {
+            let names: std::collections::BTreeSet<&str> = ga
+                .attrs()
+                .map(|a| universe.attr_name(a).unwrap())
+                .collect();
+            prop_assert_eq!(names.len(), 1, "mixed names at theta≈1");
         }
     }
 
@@ -288,20 +287,18 @@ proptest! {
     #[test]
     fn incremental_kernel_matches_brute_force(
         universe in arb_universe(),
-        theta in 0.05f64..1.0,
+        theta in arb_theta(),
         beta in 1usize..4,
-        linkage in arb_linkage(),
         prune in any::<bool>(),
     ) {
-        let config = MatchConfig { theta, beta, linkage, prune };
+        let config = MatchConfig { theta, beta, prune };
         assert_kernels_equivalent(&universe, &Constraints::none(), &config);
     }
 
     #[test]
     fn incremental_kernel_matches_brute_force_under_constraints(
         universe in arb_universe(),
-        theta in 0.05f64..1.0,
-        linkage in arb_linkage(),
+        theta in arb_theta(),
         a in 0u32..8,
         b in 0u32..8,
     ) {
@@ -318,7 +315,7 @@ proptest! {
         let mut constraints = Constraints::none();
         constraints.require_ga(ga);
         constraints.require_source(SourceId(sa));
-        let config = MatchConfig { theta, linkage, ..MatchConfig::default() };
+        let config = MatchConfig { theta, ..MatchConfig::default() };
         assert_kernels_equivalent(&universe, &constraints, &config);
     }
 
@@ -327,15 +324,14 @@ proptest! {
         universe in arb_universe(),
         theta in 0.05f64..1.0,
         beta in 1usize..4,
-        linkage in arb_linkage(),
         prune in any::<bool>(),
     ) {
         // The sparse-driven seed pass (neighbor lists over distinct-name
         // classes, implicit-zero misses) over every source. θ > 0 by
         // construction — the regime where skipping exact-zero pairs is
-        // provably lossless for every linkage.
+        // provably lossless.
         let ids: Vec<SourceId> = universe.sources().iter().map(|s| s.id()).collect();
-        let config = MatchConfig { theta, beta, linkage, prune };
+        let config = MatchConfig { theta, beta, prune };
         sparse_matches_brute(&universe, &ids, &Constraints::none(), &config)?;
     }
 
@@ -345,7 +341,6 @@ proptest! {
         keep in prop::collection::vec(any::<bool>(), 8),
         theta in 0.05f64..1.0,
         beta in 1usize..4,
-        linkage in arb_linkage(),
         prune in any::<bool>(),
         with_ga in any::<bool>(),
     ) {
@@ -366,7 +361,7 @@ proptest! {
                 GlobalAttribute::new([AttrId::new(ids[0], 0), AttrId::new(ids[1], 0)]).unwrap(),
             );
         }
-        let config = MatchConfig { theta, beta, linkage, prune };
+        let config = MatchConfig { theta, beta, prune };
         sparse_matches_brute(&universe, &ids, &constraints, &config)?;
     }
 }

@@ -80,9 +80,9 @@ pub enum SpecDelta {
     /// objective re-derives admissibility against the *current* spec on
     /// every read.
     FeasibilityOnly,
-    /// The matching side changed (θ, β, linkage, pruning, or the GA
-    /// constraints `G`) — or the weighted QEF *set* changed, which relays
-    /// the cached vectors. Match-dependent state is flushed.
+    /// The matching side changed (θ, β, pruning, or the GA constraints
+    /// `G`) — or the weighted QEF *set* changed, which relays the cached
+    /// vectors. Match-dependent state is flushed.
     MatchInvalidating,
 }
 

@@ -10,8 +10,8 @@ pub struct SparseOptions {
     /// Score threshold for threshold-aware blocking: pairs below τ are
     /// pruned and read back as `0.0`. `None` (the default) keeps the
     /// lossless tier, bit-identical to the dense matrix. Only set this to
-    /// the spec's θ, and only when Match runs Single/Complete linkage with
-    /// no GA constraints — see `DESIGN.md` §14 for the exactness condition.
+    /// the spec's θ, and only when θ > 0 and the spec has no GA
+    /// constraints — see `DESIGN.md` §14 for the exactness condition.
     pub tau: Option<f64>,
     /// Triples buffered in memory by the pair store before a sorted run is
     /// cut (see [`mube_similarity::SpillConfig`]).
@@ -91,7 +91,7 @@ pub struct ProblemSpec {
     pub constraints: Constraints,
     /// Maximum number of sources to select (`m`).
     pub max_sources: usize,
-    /// Matching parameters: θ, β, linkage, pruning.
+    /// Matching parameters: θ, β, pruning.
     pub match_config: MatchConfig,
 }
 

@@ -14,15 +14,14 @@
 
 use crate::moves::sample_moves_biased;
 use crate::problem::SubsetProblem;
-use crate::solver::{
-    random_start, run_counted, select_best, singleton_greedy_start, SolveResult, Solver,
-};
+use crate::solver::{run_counted, select_best, singleton_greedy_start, SolveResult, Solver};
 use crate::subset::Subset;
 
 /// Tabu search configuration.
 #[derive(Debug, Clone)]
 pub struct TabuSearch {
-    /// Number of iterations (moves taken) on an unconstrained problem.
+    /// Number of iterations (moves taken) on an unconstrained problem;
+    /// pinned problems get a budget scaled to their free decision space.
     pub max_iters: u64,
     /// Tabu tenure: how many iterations a flipped item stays tabu.
     pub tenure: u64,
@@ -31,19 +30,6 @@ pub struct TabuSearch {
     /// Stop early after this many iterations without improving the best
     /// solution (0 disables early stopping).
     pub stall_limit: u64,
-    /// Scale the iteration budget to the *free* decision space when items
-    /// are pinned: with `p` pins the effective search space is roughly
-    /// `C(n−p, m−p)` instead of `C(n, m)`, so the budget is multiplied by
-    /// `((m−p)·ln(n−p)) / (m·ln n)`. This is how µBE's "adding constraints
-    /// reduces the execution time, since it restricts the space to be
-    /// searched" manifests. Disable for fixed-budget comparisons.
-    pub scale_effort_to_free_space: bool,
-    /// Construct the starting point greedily by scoring every item as a
-    /// singleton (plus the pins) and taking the top `m`, instead of a
-    /// random subset. Costs `n` extra evaluations up front and makes the
-    /// search far more robust — part of why tabu search "generates higher
-    /// quality solutions" than the restart-based alternatives.
-    pub greedy_start: bool,
     /// Grow the sampled neighborhood with the instance:
     /// `sample = max(neighborhood_sample, n / 8)`. Larger universes have
     /// larger real neighborhoods; evaluating proportionally more of them
@@ -51,9 +37,9 @@ pub struct TabuSearch {
     /// execution time grow with the universe size, as in the paper's
     /// Figure 5.
     pub scale_sample_to_universe: bool,
-    /// Start from this subset (item indices) instead of constructing or
-    /// randomizing one. Pins are added and excess items trimmed to satisfy
-    /// the structural constraints. This is how an iterative µBE session
+    /// Start from this subset (item indices) instead of constructing one.
+    /// Pins are added and excess items trimmed to satisfy the structural
+    /// constraints. This is how an iterative µBE session
     /// re-solves after the user tweaks weights: refine the *current*
     /// solution rather than searching from scratch (Section 7.4's
     /// "perturbing the weights caused at most 1 GA to change" presumes
@@ -68,8 +54,6 @@ impl Default for TabuSearch {
             tenure: 10,
             neighborhood_sample: 40,
             stall_limit: 400,
-            scale_effort_to_free_space: true,
-            greedy_start: true,
             scale_sample_to_universe: true,
             warm_start: None,
         }
@@ -84,16 +68,19 @@ impl TabuSearch {
             tenure: 8,
             neighborhood_sample: 12,
             stall_limit: 50,
-            scale_effort_to_free_space: true,
-            greedy_start: true,
             scale_sample_to_universe: false,
             warm_start: None,
         }
     }
 
-    /// The iteration/stall budget for a given problem shape.
+    /// The iteration/stall budget for a given problem shape. With `p` items
+    /// pinned it is scaled to the *free* decision space: that space is
+    /// roughly `C(n−p, m−p)` instead of `C(n, m)`, so both budgets are
+    /// multiplied by `((m−p)·ln(n−p)) / (m·ln n)`. This is how µBE's "adding
+    /// constraints reduces the execution time, since it restricts the space
+    /// to be searched" manifests.
     fn budget(&self, n: usize, m: usize, pins: usize) -> (u64, u64) {
-        if !self.scale_effort_to_free_space || pins == 0 || n <= pins || m <= pins {
+        if pins == 0 || n <= pins || m <= pins {
             let full = if m <= pins && pins > 0 {
                 1
             } else {
@@ -135,11 +122,14 @@ impl Solver for TabuSearch {
                     }
                 }
                 (start, None)
-            } else if self.greedy_start {
+            } else {
+                // Score every item as a singleton (plus the pins) and take
+                // the top `m`: `n` extra evaluations up front that make the
+                // search far more robust than a random start — part of why
+                // tabu search "generates higher quality solutions" than the
+                // restart-based alternatives.
                 let (start, ordering) = singleton_greedy_start(counted);
                 (start, Some(ordering))
-            } else {
-                (random_start(counted, rng), None)
             };
             let mut current_obj = counted.evaluate(&current);
             let mut best = current.clone();
@@ -300,16 +290,6 @@ mod tests {
             "pinned {} vs free {}",
             r_pinned.iterations,
             r_free.iterations
-        );
-        // And scaling can be turned off for fixed-budget comparisons.
-        let fixed = TabuSearch {
-            stall_limit: 0,
-            scale_effort_to_free_space: false,
-            ..TabuSearch::default()
-        };
-        assert_eq!(
-            fixed.solve(&pinned, 3).iterations,
-            fixed.solve(&free, 3).iterations
         );
     }
 

@@ -77,7 +77,7 @@ pub mod universe_file;
 /// One-stop imports for typical use.
 pub mod prelude {
     pub use mube_baseline::{DeaBaseline, TopCardinality};
-    pub use mube_cluster::{Linkage, MatchConfig};
+    pub use mube_cluster::MatchConfig;
     pub use mube_core::{
         CancelToken, EvalArena, Mube, MubeBuilder, MubeError, ProblemSpec, Session, Solution,
         SolutionDiff, SpecDelta, UniverseSnapshot,
