@@ -127,8 +127,8 @@ fn delta_name(delta: Option<SpecDelta>) -> &'static str {
 }
 
 /// Runs one whole scripted session; returns per-iteration wall clocks and
-/// solutions, plus the arena entry count at the end.
-fn run_session(mube: &Mube, pin: SourceId, seed: u64) -> (Vec<(f64, Solution)>, usize) {
+/// solutions, plus the arena's entry count and owned bytes at the end.
+fn run_session(mube: &Mube, pin: SourceId, seed: u64) -> (Vec<(f64, Solution)>, (usize, usize)) {
     let mut session = Session::new(mube, paper_spec(10))
         .with_solver(Box::new(Greedy))
         .with_seed(seed);
@@ -138,8 +138,8 @@ fn run_session(mube: &Mube, pin: SourceId, seed: u64) -> (Vec<(f64, Solution)>, 
         let (millis, solution) = timed(|| session.iterate().expect("scripted trace is feasible"));
         out.push((millis, solution.clone()));
     }
-    let entries = session.arena().len();
-    (out, entries)
+    let arena = session.arena();
+    (out, (arena.len(), arena.heap_bytes()))
 }
 
 /// The same script as [`run_session`], each iteration a separate
@@ -178,7 +178,7 @@ fn bench_size(size: usize, reps: u32) -> Json {
     // reproduce the first exactly, and the two arms must agree with each
     // other — the arena's bit-identity contract, asserted on every run.
     let mut cold = run_cold(&mube, pin, seed);
-    let (mut warm, mut arena_entries) = run_session(&mube, pin, seed);
+    let (mut warm, mut arena_size) = run_session(&mube, pin, seed);
     let expected = fingerprint(solutions(&cold));
     assert_eq!(
         expected,
@@ -187,7 +187,7 @@ fn bench_size(size: usize, reps: u32) -> Json {
     );
     for _ in 1..reps {
         let cold_again = run_cold(&mube, pin, seed);
-        let (warm_again, entries) = run_session(&mube, pin, seed);
+        let (warm_again, size_again) = run_session(&mube, pin, seed);
         assert_eq!(
             expected,
             fingerprint(solutions(&cold_again)),
@@ -205,8 +205,9 @@ fn bench_size(size: usize, reps: u32) -> Json {
         for (best, again) in warm.iter_mut().zip(warm_again) {
             best.0 = best.0.min(again.0);
         }
-        arena_entries = entries;
+        arena_size = size_again;
     }
+    let (final_entries, final_bytes) = arena_size;
 
     let totals = |h: &[(f64, Solution)]| {
         (
@@ -268,7 +269,8 @@ fn bench_size(size: usize, reps: u32) -> Json {
                 ("total_millis", warm_ms.into()),
                 ("match_calls", warm_matches.into()),
                 ("evaluations", warm_evals.into()),
-                ("final_entries", arena_entries.into()),
+                ("final_entries", final_entries.into()),
+                ("final_bytes", final_bytes.into()),
             ]),
         ),
         ("iterations", Json::Arr(steps.collect())),
@@ -292,7 +294,16 @@ fn main() {
         ),
         (
             "units",
-            obj([("millis", "best-of-reps wall clock per iteration".into())]),
+            obj([
+                ("millis", "best-of-reps wall clock per iteration".into()),
+                (
+                    "final_bytes",
+                    "bytes the arena's entries own after the last iteration \
+                     (EvalArena::heap_bytes: records, keys and slices, no allocator \
+                     or map-node overhead)"
+                        .into(),
+                ),
+            ]),
         ),
         (
             "note",

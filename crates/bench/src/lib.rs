@@ -468,7 +468,10 @@ pub const BENCHES: &[Bench] = &[
         rules: &[
             Keys("", &["determinism"]),
             Keys("sizes[].cold", &["total_millis"]),
-            Keys("sizes[].arena", &["total_millis", "final_entries"]),
+            Keys(
+                "sizes[].arena",
+                &["total_millis", "final_entries", "final_bytes"],
+            ),
             Keys("sizes[].iterations[]", &["spec_delta", "warm_start"]),
             Keys("sizes[].iterations[].arena", &["recombined", "invalidated"]),
             Covers("sizes[].iterations[]", "spec_delta", "weights_only"),

@@ -43,20 +43,30 @@
 //! uphold it themselves (a universe-size change is detected and clears the
 //! arena, but equal-sized distinct universes are not).
 //!
+//! An entry's size follows what it holds, not the universe's width: it
+//! keys on its subset's sorted member ids (or the packed words, when
+//! those are shorter), and its vectors are exactly sized slices. The
+//! entries sit in one ordered map under `(fingerprint, collision ordinal)`
+//! keys, so a lone entry owns no bucket allocation.
+//! [`EvalArena::heap_bytes`] reports what the entries own.
+//!
 //! [`Session`]: crate::Session
 
 use std::collections::BTreeMap;
+use std::mem::size_of_val;
 use std::sync::{PoisonError, RwLock};
 
 use mube_opt::Subset;
 
 use crate::problem::ProblemSpec;
 
-/// Default entry budget. An entry is one subset plus a K-element component
-/// vector — on the order of a hundred bytes at µBE's universe sizes — so
-/// the default bounds the arena at roughly a hundred megabytes while being
-/// effectively unbounded for whole sessions (which evaluate tens of
-/// thousands of subsets per iteration, not a million).
+/// Default entry budget. [`EvalArena::heap_bytes`] reports 156 bytes for
+/// a 3-source entry over 2,000 sources with five components and a
+/// two-source span (see the `heap_bytes_counts_record_key_and_slices`
+/// test), so at the cap a session's entries own about 160 MB, plus the
+/// allocator's and the map's overhead. That is effectively unbounded for
+/// whole sessions, which evaluate tens of thousands of subsets per
+/// iteration, not a million.
 const DEFAULT_CAPACITY: usize = 1 << 20;
 
 /// Recovers a lock guard from a poisoned lock: arena state is always
@@ -140,7 +150,7 @@ pub(crate) struct MatchPart {
     /// Sorted indices of the sources the schema spans (contributes at least
     /// one attribute to a GA). The read-time feasibility check is
     /// `required ⊆ spanned`.
-    pub(crate) spanned: Vec<u32>,
+    pub(crate) spanned: Box<[u32]>,
 }
 
 /// A memoized per-subset evaluation: the component vector
@@ -155,15 +165,52 @@ pub(crate) struct ComponentEval {
     pub(crate) match_part: Option<MatchPart>,
     /// Non-matching component values, indexed by binding position (the
     /// matching slot, if any, holds an unused placeholder).
-    pub(crate) components: Vec<f64>,
+    pub(crate) components: Box<[f64]>,
 }
 
-/// One arena entry: the subset itself (buckets compare exact subsets — a
-/// fingerprint collision lands in the same bucket but can never alias) plus
-/// its evaluation and the bookkeeping stamps.
+/// An entry's subset, in whichever exact encoding is shorter: the sorted
+/// member ids (4 bytes a member) or the bitset's packed words (8 bytes per
+/// 64 universe items), so no key outgrows the bitset. Neither records the
+/// universe size: every entry of an arena ranges over the universe it was
+/// prepared for, since `prepare` clears the arena when that size changes.
+#[derive(Debug, Clone)]
+enum Members {
+    Ids(Box<[u32]>),
+    Words(Box<[u64]>),
+}
+
+impl Members {
+    fn of(subset: &Subset) -> Self {
+        let words = subset.words();
+        if subset.len() <= 2 * words.len() {
+            Members::Ids(subset.iter().map(|i| i as u32).collect())
+        } else {
+            Members::Words(words.into())
+        }
+    }
+
+    /// Whether these are exactly `subset`'s members, compared in place.
+    fn are(&self, subset: &Subset) -> bool {
+        match self {
+            Members::Ids(ids) => subset.iter().map(|i| i as u32).eq(ids.iter().copied()),
+            Members::Words(words) => **words == *subset.words(),
+        }
+    }
+
+    fn heap_bytes(&self) -> usize {
+        match self {
+            Members::Ids(ids) => size_of_val(&**ids),
+            Members::Words(words) => size_of_val(&**words),
+        }
+    }
+}
+
+/// One arena entry: its subset's members (compared exactly, so a
+/// fingerprint collision takes the next ordinal under that fingerprint and
+/// can never alias) plus its evaluation and the bookkeeping stamps.
 #[derive(Debug, Clone)]
 pub(crate) struct ArenaEntry {
-    pub(crate) subset: Subset,
+    members: Members,
     pub(crate) eval: ComponentEval,
     /// Arena epoch at insertion — entries from earlier epochs are
     /// cross-iteration survivors and count as reuse when read.
@@ -172,6 +219,24 @@ pub(crate) struct ArenaEntry {
     /// recombination (same components, different weight combination).
     pub(crate) weights_version: u64,
 }
+
+impl ArenaEntry {
+    /// The bytes this entry owns: its map slot (key and record) plus its
+    /// members, component and span slices.
+    fn heap_bytes(&self) -> usize {
+        size_of::<(Slot, Self)>()
+            + self.members.heap_bytes()
+            + size_of_val(&*self.eval.components)
+            + self
+                .eval
+                .match_part
+                .as_ref()
+                .map_or(0, |part| size_of_val(&*part.spanned))
+    }
+}
+
+/// An entry's map key: its subset's fingerprint and a collision ordinal.
+type Slot = (u64, u32);
 
 /// What one `EvalArena::prepare` did, kept by the objective built on it
 /// so that no evaluation reads the arena's stamps again.
@@ -191,11 +256,13 @@ pub(crate) struct Prepared {
 /// Everything the arena holds, behind its one lock.
 #[derive(Default)]
 struct Store {
-    /// Fingerprint-keyed buckets (a bucket may hold several exact subsets
-    /// on fingerprint collision). A `BTreeMap`, so every whole-store walk
-    /// (`strip_match_parts`) visits entries in fingerprint order.
-    buckets: BTreeMap<u64, Vec<ArenaEntry>>,
-    entries: usize,
+    /// Every entry under its [`Slot`]: the `k`-th distinct subset inserted
+    /// with a fingerprint sits at `(fingerprint, k)`. Entries leave only
+    /// all at once, so a fingerprint's ordinals run `0..` without gaps and a
+    /// lookup walks them until a member match or a free ordinal. A
+    /// `BTreeMap`, so every whole-store walk (`strip_match_parts`,
+    /// `heap_bytes`) visits entries in key order.
+    entries: BTreeMap<Slot, ArenaEntry>,
     /// Advances once per prepare; entries are stamped with it.
     epoch: u64,
     /// Advances whenever a prepare sees a different weight vector.
@@ -207,9 +274,8 @@ struct Store {
 impl Store {
     /// Drops every entry; returns how many were dropped.
     fn clear(&mut self) -> u64 {
-        let dropped = self.entries as u64;
-        self.buckets.clear();
-        self.entries = 0;
+        let dropped = self.entries.len() as u64;
+        self.entries.clear();
         dropped
     }
 
@@ -217,7 +283,7 @@ impl Store {
     /// each recomputes `Match(S)` alone. Returns how many were stripped.
     fn strip_match_parts(&mut self) -> u64 {
         let mut stripped = 0u64;
-        for entry in self.buckets.values_mut().flatten() {
+        for entry in self.entries.values_mut() {
             if entry.eval.match_part.take().is_some() {
                 stripped += 1;
             }
@@ -225,8 +291,17 @@ impl Store {
         stripped
     }
 
-    fn find(&self, key: u64, subset: &Subset) -> Option<&ArenaEntry> {
-        self.buckets.get(&key)?.iter().find(|e| e.subset == *subset)
+    /// The collision ordinal and entry of `subset` under fingerprint `key`,
+    /// or the first free ordinal there and `None`.
+    fn find(&self, key: u64, subset: &Subset) -> (u32, Option<&ArenaEntry>) {
+        let mut ordinal = 0;
+        while let Some(entry) = self.entries.get(&(key, ordinal)) {
+            if entry.members.are(subset) {
+                return (ordinal, Some(entry));
+            }
+            ordinal += 1;
+        }
+        (ordinal, None)
     }
 }
 
@@ -263,7 +338,18 @@ impl EvalArena {
 
     /// Number of memoized evaluations currently held.
     pub fn len(&self) -> usize {
-        unpoison(self.store.read()).entries
+        unpoison(self.store.read()).entries.len()
+    }
+
+    /// The bytes the held entries own: each entry's map slot (fingerprint
+    /// key and record) plus its member, component and span slices.
+    /// Allocator headers and size rounding, and the map's node layout
+    /// (spare slots, child and parent links), are not counted, so the
+    /// figure does not depend on the allocator or the host. Walks every
+    /// entry under the read lock; the evaluate path keeps no running total.
+    pub fn heap_bytes(&self) -> usize {
+        let store = unpoison(self.store.read());
+        store.entries.values().map(ArenaEntry::heap_bytes).sum()
     }
 
     /// Whether the arena holds no evaluations.
@@ -330,7 +416,7 @@ impl EvalArena {
         read: impl FnOnce(&ArenaEntry) -> R,
     ) -> Option<R> {
         let store = unpoison(self.store.read());
-        store.find(key, subset).map(read)
+        store.find(key, subset).1.map(read)
     }
 
     /// Inserts an evaluation stamped with the current epoch and weights
@@ -340,22 +426,22 @@ impl EvalArena {
     /// `evictions` accounting.
     pub(crate) fn insert(&self, key: u64, subset: &Subset, eval: ComponentEval) -> u64 {
         let mut store = unpoison(self.store.write());
-        if store.find(key, subset).is_some() {
+        let (mut ordinal, found) = store.find(key, subset);
+        if found.is_some() {
             return 0;
         }
-        let dropped = if store.entries >= self.capacity {
-            store.clear()
-        } else {
-            0
-        };
+        let mut dropped = 0;
+        if store.entries.len() >= self.capacity {
+            dropped = store.clear();
+            ordinal = 0;
+        }
         let entry = ArenaEntry {
-            subset: subset.clone(),
+            members: Members::of(subset),
             eval,
             epoch: store.epoch,
             weights_version: store.weights_version,
         };
-        store.buckets.entry(key).or_default().push(entry);
-        store.entries += 1;
+        store.entries.insert((key, ordinal), entry);
         dropped
     }
 
@@ -365,11 +451,11 @@ impl EvalArena {
     /// empty — a racing duplicate recompute produced the same value.
     pub(crate) fn restore_match_part(&self, key: u64, subset: &Subset, part: MatchPart) {
         let mut store = unpoison(self.store.write());
-        let entry = store
-            .buckets
-            .get_mut(&key)
-            .and_then(|bucket| bucket.iter_mut().find(|e| e.subset == *subset));
-        if let Some(entry) = entry {
+        let (ordinal, found) = store.find(key, subset);
+        if found.is_none() {
+            return;
+        }
+        if let Some(entry) = store.entries.get_mut(&(key, ordinal)) {
             entry.eval.match_part.get_or_insert(part);
         }
     }
@@ -401,14 +487,14 @@ mod tests {
     fn part(quality: f64, spanned: &[u32]) -> MatchPart {
         MatchPart {
             quality,
-            spanned: spanned.to_vec(),
+            spanned: spanned.into(),
         }
     }
 
     fn entry_eval(q: f64) -> ComponentEval {
         ComponentEval {
             match_part: Some(part(q, &[1, 4])),
-            components: vec![0.0, 0.5],
+            components: [0.0, 0.5].into(),
         }
     }
 
@@ -518,7 +604,7 @@ mod tests {
         assert_eq!(arena.len(), 2);
         assert_eq!(match_part_of(&arena, &a), None);
         assert_eq!(
-            arena.probe(b.fingerprint(), &b, |e| e.eval.components.clone()),
+            arena.probe(b.fingerprint(), &b, |e| e.eval.components.to_vec()),
             Some(vec![0.0, 0.5])
         );
     }
@@ -565,6 +651,76 @@ mod tests {
         // The fifth distinct insert finds the arena full and clears it.
         assert_eq!(dropped, [0, 0, 0, 4]);
         assert_eq!(arena.len(), 1);
+    }
+
+    #[test]
+    fn colliding_fingerprints_stay_exact() {
+        // Every subset below goes in under one forced fingerprint.
+        const KEY: u64 = 7;
+        let n = 2000;
+        let quality = |arena: &EvalArena, s: &Subset| {
+            arena
+                .probe(KEY, s, |e| e.eval.match_part.as_ref().map(|p| p.quality))
+                .flatten()
+        };
+        let arena = EvalArena::new();
+        arena.prepare(&spec(), n);
+        let a = Subset::from_indices(n, [3, 700, 1999]);
+        let b = Subset::from_indices(n, [3, 700, 1998]);
+        arena.insert(KEY, &a, entry_eval(0.8));
+        arena.insert(KEY, &b, entry_eval(0.6));
+        assert_eq!(arena.len(), 2);
+        assert_eq!(quality(&arena, &a), Some(0.8));
+        assert_eq!(quality(&arena, &b), Some(0.6));
+        // A θ edit strips both; restoring one leaves the other stripped.
+        assert_eq!(arena.prepare(&spec().with_theta(0.5), n).invalidated, 2);
+        arena.restore_match_part(KEY, &b, part(0.5, &[3]));
+        assert_eq!(quality(&arena, &b), Some(0.5));
+        assert_eq!(quality(&arena, &a), None);
+        assert!(arena.probe(KEY, &a, |_| ()).is_some());
+
+        // Key size boundary: up to 64 members (32 words × 2) key on ids,
+        // more on words, and neither is longer than the 256-byte bitset.
+        let first = |k: usize| Subset::from_indices(n, 0..k);
+        for (k, ids) in [(0, true), (3, true), (64, true), (65, false), (1999, false)] {
+            let members = Members::of(&first(k));
+            assert_eq!(matches!(members, Members::Ids(_)), ids, "{k} members");
+            assert!(members.heap_bytes() <= 256, "{k} members");
+            assert!(members.are(&first(k)) && !members.are(&first(k + 1)));
+        }
+        let empty = Subset::empty(n);
+        let all_but_one = Subset::from_indices(n, (0..n).filter(|&i| i != 1000));
+        let all_but_another = Subset::from_indices(n, (0..n).filter(|&i| i != 1001));
+        arena.insert(KEY, &empty, entry_eval(0.1));
+        arena.insert(KEY, &all_but_one, entry_eval(0.2));
+        assert_eq!(arena.len(), 4);
+        assert_eq!(quality(&arena, &empty), Some(0.1));
+        assert_eq!(quality(&arena, &all_but_one), Some(0.2));
+        assert_eq!(quality(&arena, &b), Some(0.5));
+        assert!(arena.probe(KEY, &all_but_another, |_| ()).is_none());
+        assert!(arena.probe(KEY, &first(3), |_| ()).is_none());
+    }
+
+    #[test]
+    fn heap_bytes_counts_record_key_and_slices() {
+        let arena = EvalArena::new();
+        arena.prepare(&spec(), 2000);
+        assert_eq!(arena.heap_bytes(), 0);
+        let s = Subset::from_indices(2000, [3, 700, 1999]);
+        let eval = ComponentEval {
+            match_part: Some(part(0.9, &[3, 700])),
+            components: [0.1; 5].into(),
+        };
+        arena.insert(s.fingerprint(), &s, eval);
+        // A 96-byte slot (16-byte key, 80-byte record), 3 member ids, 5
+        // components and 2 spanned sources: the figure DEFAULT_CAPACITY
+        // cites.
+        assert_eq!(size_of::<(Slot, ArenaEntry)>(), 96);
+        assert_eq!(arena.heap_bytes(), 96 + 3 * 4 + 5 * 8 + 2 * 4);
+        assert_eq!(arena.heap_bytes(), 156);
+        // Stripping the match part drops its span.
+        arena.prepare(&spec().with_theta(0.5), 2000);
+        assert_eq!(arena.heap_bytes(), 148);
     }
 
     #[test]

@@ -67,7 +67,7 @@ impl MatchCounters {
 /// Sorted indices of the sources a schema spans — the constraint-free basis
 /// the arena memoizes so the `C ⊆ spanned` validity check can run at read
 /// time under whatever source constraints are then current.
-fn spanned_of(schema: &MediatedSchema) -> Vec<u32> {
+fn spanned_of(schema: &MediatedSchema) -> Box<[u32]> {
     schema.covered_sources().into_iter().map(|s| s.0).collect()
 }
 
@@ -86,7 +86,7 @@ enum Probe {
     /// A cross-iteration survivor whose match part was stripped by a
     /// `MatchInvalidating` edit: the non-matching components, cloned out so
     /// `Match(S)` alone can be recomputed outside the arena lock.
-    Stale(Vec<f64>),
+    Stale(Box<[f64]>),
 }
 
 /// `Q(S)` exposed through [`SubsetProblem`] so any `mube-opt` solver can
@@ -431,7 +431,7 @@ impl MubeObjective {
             v,
             ComponentEval {
                 match_part,
-                components,
+                components: components.into(),
             },
         ))
     }
@@ -597,8 +597,8 @@ impl SubsetProblem for MubeObjective {
             return f64::NEG_INFINITY;
         }
         // One hash of the subset per evaluation; both probes reuse the
-        // already-computed u64 key, and the subset is cloned only when
-        // actually inserted.
+        // already-computed u64 key, and the subset's members are copied
+        // only when actually inserted.
         let key = subset.fingerprint();
         let probed = self.arena.probe(key, subset, |entry| {
             let survivor = entry.epoch < self.prepared.epoch;

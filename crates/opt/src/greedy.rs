@@ -36,18 +36,18 @@ impl Solver for Greedy {
                 // Propose every single-item extension, then take the first
                 // maximum — which is only accepted if it improves on the
                 // current value (any value is, while that is infeasible).
-                let mut candidates: Vec<Subset> = current
-                    .complement_iter()
-                    .map(|i| {
-                        let mut candidate = current.clone();
-                        candidate.insert(i);
-                        candidate
-                    })
-                    .collect();
+                // Extension `k` adds `free[k]`, built only when selection
+                // bounds or evaluates it.
+                let free: Vec<usize> = current.complement_iter().collect();
+                let extend = |k: usize| {
+                    let mut candidate = current.clone();
+                    candidate.insert(free[k]);
+                    candidate
+                };
                 let bar = current_obj.is_finite().then_some(current_obj);
-                match select_best(counted, &candidates, |_| bar) {
+                match select_best(counted, free.len(), extend, |_| bar) {
                     Some((k, obj)) => {
-                        current = candidates.swap_remove(k);
+                        current.insert(free[k]);
                         current_obj = obj;
                         trajectory.push(current_obj);
                     }

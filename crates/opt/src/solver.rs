@@ -148,6 +148,11 @@ pub(crate) fn singleton_greedy_start<P: SubsetProblem + ?Sized>(
 /// best leaf bound first and skipping what the bounds rule out. Greedy
 /// and tabu search select every move through this.
 ///
+/// The candidates are `candidate(0) .. candidate(count - 1)`, built on
+/// demand: each is built to be bounded and again if it is evaluated, and
+/// dropped in between, so a round holds one candidate at a time instead of
+/// the whole batch.
+///
 /// Candidate `k` is *eligible* when `bar(k)` is `None` or its value
 /// strictly exceeds `bar(k)`. The result is `(k, value)` for the maximum
 /// value among eligible candidates, ties going to the lowest index, or
@@ -164,12 +169,15 @@ pub(crate) fn singleton_greedy_start<P: SubsetProblem + ?Sized>(
 /// it may tie at a lower index.
 pub(crate) fn select_best<P: SubsetProblem + ?Sized>(
     problem: &P,
-    candidates: &[Subset],
+    count: usize,
+    candidate: impl Fn(usize) -> Subset,
     bar: impl Fn(usize) -> Option<f64>,
 ) -> Option<(usize, f64)> {
-    let bounds: Vec<Option<f64>> = candidates
-        .iter()
-        .map(|c| problem.component_bound(c, &c.complement()))
+    let bounds: Vec<Option<f64>> = (0..count)
+        .map(|k| {
+            let c = candidate(k);
+            problem.component_bound(&c, &c.complement())
+        })
         .collect();
     let eligible = |k: usize, value: f64| bar(k).is_none_or(|floor| value > floor);
     let mut best: Option<(usize, f64)> = None;
@@ -179,8 +187,8 @@ pub(crate) fn select_best<P: SubsetProblem + ?Sized>(
             *best = Some((k, value));
         }
     };
-    for k in (0..candidates.len()).filter(|&k| bounds[k].is_none()) {
-        offer(&mut best, k, problem.evaluate(&candidates[k]));
+    for k in (0..count).filter(|&k| bounds[k].is_none()) {
+        offer(&mut best, k, problem.evaluate(&candidate(k)));
     }
     let mut ranked: Vec<(usize, f64)> = bounds
         .iter()
@@ -195,7 +203,7 @@ pub(crate) fn select_best<P: SubsetProblem + ?Sized>(
         if bar(k).is_some_and(|floor| bound <= floor) {
             continue;
         }
-        offer(&mut best, k, problem.evaluate(&candidates[k]));
+        offer(&mut best, k, problem.evaluate(&candidate(k)));
     }
     best
 }

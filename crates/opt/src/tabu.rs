@@ -161,10 +161,10 @@ impl Solver for TabuSearch {
                 // only via aspiration (it would improve on the global best),
                 // so its bar is `best_obj`. Selection returns the move a
                 // scan over every value in candidate order would, so the
-                // pruning the bounds allow never changes the move.
-                let mut nexts: Vec<Subset> =
-                    moves.iter().map(|mv| mv.applied_to(&current)).collect();
-                let chosen = select_best(counted, &nexts, |k| {
+                // pruning the bounds allow never changes the move. Each
+                // neighbor is built only when selection needs it.
+                let next = |k: usize| moves[k].applied_to(&current);
+                let chosen = select_best(counted, moves.len(), next, |k| {
                     let (a, b) = moves[k].touched();
                     let tabu = tabu_until[a] > iter || b.is_some_and(|b| tabu_until[b] > iter);
                     tabu.then_some(best_obj)
@@ -175,7 +175,7 @@ impl Solver for TabuSearch {
                     if let Some(b) = b {
                         tabu_until[b] = iter + 1 + self.tenure;
                     }
-                    current = nexts.swap_remove(k);
+                    current = moves[k].applied_to(&current);
                     current_obj = obj;
                     if current_obj > best_obj {
                         best_obj = current_obj;

@@ -25,8 +25,10 @@
 //! workspace lock lint): a mutex around the id → handle map, held only
 //! for lookups and insertions, never across a solve or a send.
 
+use std::any::Any;
 use std::collections::BTreeMap;
 use std::io::{BufRead, Read, Write};
+use std::panic::{self, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::mpsc::{Receiver, Sender};
 use std::sync::{mpsc, Arc, Mutex, PoisonError};
@@ -289,38 +291,72 @@ pub fn default_weights(universe: &Universe) -> Weights {
 
 /// The per-session worker: owns the [`Session`], drains its queue in
 /// order, exits when the host drops the sender.
+///
+/// A job that panics (a solver bug, or a debug build's audit failure) is
+/// answered with an error naming the panic, and the session is marked
+/// failed: the panic may have left it half-updated, so every later job on
+/// it is answered with that failure instead of running.
 fn worker_loop(mube: Mube, mut session: Session, jobs: Receiver<Job>) {
+    let mut failed: Option<String> = None;
     while let Ok(Job { id, reply, work }) = jobs.recv() {
-        let line = match work {
-            Work::Edit(edits) => match apply_edits(&mube, &mut session, &edits) {
-                Ok(applied) => ok_response(id, vec![("applied", Json::Num(applied as f64))]),
-                Err(e) => error_response(id, &e),
-            },
-            Work::Solve => match session.iterate() {
-                Ok(solution) => {
-                    let rendered = render_solution(mube.universe(), solution);
-                    ok_response(
-                        id,
-                        vec![
-                            ("iteration", Json::Num(session.history().len() as f64)),
-                            ("solution", rendered),
-                        ],
-                    )
-                }
-                Err(MubeError::Cancelled) => error_response(
-                    id,
-                    "solve cancelled before any feasible incumbent was found",
-                ),
-                Err(e) => error_response(id, &e.to_string()),
-            },
-            Work::Inspect => inspect_response(id, &mube, &session),
-            Work::Diff => match session.diff_latest() {
-                Some(diff) => ok_response(id, vec![("diff", render_diff(mube.universe(), &diff))]),
-                None => error_response(id, "diff needs at least two completed iterations"),
-            },
+        let line = if let Some(failure) = &failed {
+            error_response(id, &format!("session failed: {failure}"))
+        } else {
+            let job = AssertUnwindSafe(|| run_job(&mube, &mut session, id, work));
+            panic::catch_unwind(job).unwrap_or_else(|payload| {
+                let failure = format!(
+                    "request {id} panicked the session worker: {}",
+                    panic_message(&*payload)
+                );
+                let line = error_response(id, &failure);
+                failed = Some(failure);
+                line
+            })
         };
         let _ = reply.send(line);
     }
+}
+
+/// Runs one job on the session and renders its response line.
+fn run_job(mube: &Mube, session: &mut Session, id: u64, work: Work) -> String {
+    match work {
+        Work::Edit(edits) => match apply_edits(mube, session, &edits) {
+            Ok(applied) => ok_response(id, vec![("applied", Json::Num(applied as f64))]),
+            Err(e) => error_response(id, &e),
+        },
+        Work::Solve => match session.iterate() {
+            Ok(solution) => {
+                let rendered = render_solution(mube.universe(), solution);
+                ok_response(
+                    id,
+                    vec![
+                        ("iteration", Json::Num(session.history().len() as f64)),
+                        ("solution", rendered),
+                    ],
+                )
+            }
+            Err(MubeError::Cancelled) => error_response(
+                id,
+                "solve cancelled before any feasible incumbent was found",
+            ),
+            Err(e) => error_response(id, &e.to_string()),
+        },
+        Work::Inspect => inspect_response(id, mube, session),
+        Work::Diff => match session.diff_latest() {
+            Some(diff) => ok_response(id, vec![("diff", render_diff(mube.universe(), &diff))]),
+            None => error_response(id, "diff needs at least two completed iterations"),
+        },
+    }
+}
+
+/// The message a panic payload carries: `panic!` with a literal passes a
+/// `&str`, a formatted one a `String`.
+fn panic_message(payload: &(dyn Any + Send)) -> &str {
+    payload
+        .downcast_ref::<&str>()
+        .copied()
+        .or_else(|| payload.downcast_ref::<String>().map(String::as_str))
+        .unwrap_or("a non-string panic payload")
 }
 
 /// Applies edits in order; stops at the first invalid one. Returns how
@@ -511,6 +547,7 @@ fn write_lines<W: Write>(mut writer: W, lines: Receiver<String>) {
 mod tests {
     use super::*;
     use mube_core::MubeBuilder;
+    use mube_opt::{SolveResult, SubsetProblem};
     use mube_schema::SourceBuilder;
 
     fn universe() -> Universe {
@@ -669,6 +706,48 @@ mod tests {
                 .collect();
             assert_eq!(bits.get(sid), Some(&replay), "session {sid} diverged");
         }
+    }
+
+    /// A solver that panics, standing in for a solver bug or a debug
+    /// build's audit failure inside `Session::iterate`.
+    struct Panicking;
+
+    impl Solver for Panicking {
+        fn solve(&self, _: &dyn SubsetProblem, _: u64) -> SolveResult {
+            panic!("solver bug");
+        }
+
+        fn name(&self) -> &'static str {
+            "panicking"
+        }
+    }
+
+    #[test]
+    fn a_panicking_job_is_answered_and_fails_the_session() {
+        let mube = MubeBuilder::new(&universe()).build();
+        let session = Session::new(&mube, ProblemSpec::new(3).with_theta(0.5))
+            .with_solver(Box::new(Panicking));
+        let (jobs, queue) = mpsc::channel();
+        let (reply, replies) = mpsc::channel();
+        for (id, work) in [(1, Work::Solve), (2, Work::Inspect), (3, Work::Solve)] {
+            let reply = reply.clone();
+            jobs.send(Job { id, reply, work }).unwrap();
+        }
+        drop((jobs, reply));
+        let worker = std::thread::spawn(move || worker_loop(mube, session, queue));
+        let answers: Vec<Json> = (1..=3)
+            .map(|_| Json::parse(&replies.recv().expect("every job is answered")).unwrap())
+            .collect();
+        worker.join().expect("the worker outlives the panic");
+        for (answer, id) in answers.iter().zip(1..) {
+            assert_eq!(answer.get("id").and_then(Json::as_u64), Some(id));
+            assert_eq!(answer.get("ok"), Some(&Json::Bool(false)), "{answer:?}");
+        }
+        let error = |k: usize| answers[k].get("error").and_then(Json::as_str).unwrap();
+        let failure = "request 1 panicked the session worker: solver bug";
+        assert_eq!(error(0), failure);
+        assert_eq!(error(1), format!("session failed: {failure}"));
+        assert_eq!(error(2), format!("session failed: {failure}"));
     }
 
     #[test]
